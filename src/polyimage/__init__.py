@@ -33,6 +33,7 @@ from .primeimage import (
     joint_count,
     joint_count_error,
     max_pair_correlation,
+    pair_counts,
     prime_stats,
 )
 from .stats import (
@@ -42,7 +43,6 @@ from .stats import (
     KSResult,
     SpacingSeries,
     adjacent_gap_correlation,
-    consecutive_tuples,
     correlation,
     gap_frequency,
     ks_exponential,

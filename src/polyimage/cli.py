@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Machine-first output: the JSON report goes to stdout (stable key order, so a
-fixed config produces byte-identical bytes regardless of worker count), a
-short human summary goes to stderr, CSV histogram data goes to --out.  Exit
-codes: 0 success, 1 verification failure, 2 invalid input, 3 resource cap.
+fixed config produces byte-identical bytes; runs that differ only in
+--workers give the same `result` payload, while `config` echoes the worker
+count), a short human summary goes to stderr, CSV histogram data goes to
+--out.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
+3 resource cap.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .composite import (
     DEFAULT_CAP_BITS,
     SquareFreeModulus,
     composite_stats,
-    joint_count_composite,
     parse_modulus,
 )
 from .errors import InvalidInputError, ResourceCapError
@@ -34,7 +35,7 @@ from .polyarith import (
     parse_poly,
     poly_to_text,
 )
-from .primeimage import expected_joint_count, image_mask, joint_count_error
+from .primeimage import expected_joint_count, image_mask, joint_count, joint_count_error
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -89,10 +90,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name) and getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     if getattr(args, "primes", None):
-        cfg.primes = [int(x) for x in args.primes.split(",")]
+        cfg.primes = _int_list(args.primes, "--primes")
     if isinstance(cfg.offsets, str):
-        cfg.offsets = [int(x) for x in cfg.offsets.split(",")]
+        cfg.offsets = _int_list(cfg.offsets, "--offsets")
     return cfg
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise InvalidInputError(f"{flag} needs comma-separated integers, got {text!r}") from exc
 
 
 def _require_poly(cfg: RunConfig) -> IntPoly:
@@ -283,20 +291,18 @@ def cmd_nk(cfg: RunConfig) -> int:
     m = _require_modulus(cfg)
     if not cfg.offsets:
         raise InvalidInputError("--offsets is required")
-    total = joint_count_composite(f, m, cfg.offsets)
     k = len(cfg.offsets) + 1
+    total = 1
     per_prime = []
     for p in m.primes:
         mask = image_mask(f, p)
-        acc = mask.bits
-        for h in cfg.offsets:
-            acc &= mask.rotated(h % p)
-        count = acc.bit_count()
+        count = joint_count(mask, cfg.offsets)
+        total *= count
         per_prime.append({
             "p": p,
             "count": count,
             "expected": _frac(expected_joint_count(p, Fraction(p, mask.count), k)),
-            "error": _frac(joint_count_error(f, p, cfg.offsets)),
+            "error": _frac(joint_count_error(mask, count, k)),
         })
     result = {"q": m.q, "k": k, "offsets": cfg.offsets, "joint_count": total,
               "per_prime": per_prime}
@@ -402,10 +408,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
-    if cfg.format is None:
-        cfg.format = "csv" if cfg.command == "spacings" else "json"
     try:
+        cfg = _config_from_args(args)
+        if cfg.format is None:
+            cfg.format = "csv" if cfg.command == "spacings" else "json"
         return _COMMANDS[cfg.command](cfg)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

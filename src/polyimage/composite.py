@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from .parallel import pmap
 from .polyarith import IntPoly
-from .primeimage import ImageMask, PrimeStats, image_mask, prime_stats
+from .primeimage import ImageMask, PrimeStats, image_mask, joint_count, prime_stats
 
 DEFAULT_CAP_BITS = 1 << 31
 _TRIAL_LIMIT = 10**6
@@ -185,16 +185,7 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
     """Joint image count modulo q as the product of the per-prime counts,
     each offset reduced per prime."""
     offsets = list(offsets)
-    total = 1
-    for p in modulus.primes:
-        mask = image_mask(f, p)
-        acc = mask.bits
-        for h in offsets:
-            acc &= mask.rotated(h % p)
-            if not acc:
-                return 0
-        total *= acc.bit_count()
-    return total
+    return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
 
 
 class EnumeratedImage:

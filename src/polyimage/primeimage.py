@@ -4,10 +4,9 @@ The image of f modulo p lives in an ImageMask: a length-p bitset held in a
 single Python int (bit t set iff t is hit by f), with the popcount cached.
 Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
-which is what makes prime-by-prime scans cheap.
+which is what makes prime-by-prime scans cheap.  This module owns that
+counting: joint_count at explicit offsets and pair_counts over every shift.
 
-Two independent strategies build the mask (vectorized Horner and pure-Python
-forward differences); they must agree bit for bit and the tests enforce it.
 All statistics stay exact: sizes are ints, ratios Fractions.  Floats appear
 only in the reported deviation columns of anomaly scans.
 """
@@ -21,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError
-from .polyarith import IntPoly, critical_diffs_mod
+from .polyarith import IntPoly, ObstructionSet
 
 MAX_PRIME = 1 << 31
 _CHUNK = 1 << 20
@@ -75,41 +74,14 @@ def _horner_bits(f: IntPoly, p: int) -> bytes:
     return buf.tobytes()
 
 
-def _fdiff_bits(f: IntPoly, p: int) -> bytes:
-    # forward differences: after the setup only additions mod p per point
-    n = f.degree
-    buf = bytearray((p + 7) // 8)
-    vals = [f.evaluate_mod(x, p) for x in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(n, i - 1, -1):
-            vals[j] = (vals[j] - vals[j - 1]) % p
-    acc = vals
-    for _ in range(p):
-        t = acc[0]
-        buf[t >> 3] |= 1 << (t & 7)
-        for i in range(n):
-            acc[i] = (acc[i] + acc[i + 1]) % p
-    return bytes(buf)
-
-
-def compute_image(f: IntPoly, p: int, strategy: str = "horner") -> ImageMask:
-    """Exact image mask of f modulo p.
-
-    strategy "horner" evaluates every point (vectorized); "fdiff" walks the
-    forward-difference accumulators.  Both are exact and must agree.
-    """
+def compute_image(f: IntPoly, p: int) -> ImageMask:
+    """Exact image mask of f modulo p, every point evaluated (vectorized Horner)."""
     if not 2 <= p < MAX_PRIME:
         raise InvalidInputError(f"prime {p} outside supported range [2, 2^31)")
     if f.degree < 1:
         t = (f.coeffs[0] % p) if f.coeffs else 0
         return ImageMask(p, 1 << t, 1)
-    if strategy == "horner":
-        raw = _horner_bits(f, p)
-    elif strategy == "fdiff":
-        raw = _fdiff_bits(f, p)
-    else:
-        raise InvalidInputError(f"unknown strategy {strategy!r}")
-    bits = int.from_bytes(raw, "little")
+    bits = int.from_bytes(_horner_bits(f, p), "little")
     return ImageMask(p, bits, bits.bit_count())
 
 
@@ -130,7 +102,8 @@ def prime_stats(f: IntPoly, p: int) -> PrimeStats:
 
 
 def joint_count(mask: ImageMask, offsets) -> int:
-    """Number of image elements t with t + h in the image for every offset h."""
+    """Number of image elements t with t + h in the image for every offset h
+    (offsets taken modulo p)."""
     acc = mask.bits
     for h in offsets:
         acc &= mask.rotated(h)
@@ -139,19 +112,29 @@ def joint_count(mask: ImageMask, offsets) -> int:
     return acc.bit_count()
 
 
+def pair_counts(mask: ImageMask) -> list[int]:
+    """The pair counts N_2(h, p) for every shift: entry h is the number of
+    image elements t with t + h in the image, for h = 0, ..., p-1.
+
+    N_2(h, p) = N_2(p - h, p) (substitute t -> t - h), so only the shifts up
+    to p/2 are counted.  The cyclic shift needs no mask to p bits here: the
+    AND with the p-bit image drops everything above bit p-1."""
+    p, bits = mask.p, mask.bits
+    counts = [mask.count] * p
+    for h in range(1, p // 2 + 1):
+        counts[h] = counts[p - h] = (bits & (bits >> h | bits << (p - h))).bit_count()
+    return counts
+
+
 def expected_joint_count(p: int, mean_gap: Fraction, k: int) -> Fraction:
     """The independence-model prediction p / s^k for the joint count."""
     return Fraction(p) / mean_gap**k
 
 
-def joint_count_error(f: IntPoly, p: int, offsets) -> Fraction:
-    """Relative error of the joint count against the independence model:
-    s^(k-1) * count / omega - 1, exact."""
-    mask = image_mask(f, p)
-    offsets = list(offsets)
-    k = len(offsets) + 1
-    n = joint_count(mask, offsets)
-    return Fraction(p ** (k - 1) * n, mask.count**k) - 1
+def joint_count_error(mask: ImageMask, count: int, k: int) -> Fraction:
+    """Relative error of a joint count of k-tuples (k - 1 offsets) against the
+    independence model: s^(k-1) * count / omega - 1, exact."""
+    return Fraction(mask.p ** (k - 1) * count, mask.count**k) - 1
 
 
 @dataclass(frozen=True)
@@ -162,29 +145,26 @@ class Anomaly:
     in_critical_diffs: bool
 
 
-def anomaly_scan(f: IntPoly, p: int, k: int = 2, threshold: float = 5.0) -> list[Anomaly]:
+def anomaly_scan(f: IntPoly, p: int, obstructions: ObstructionSet,
+                 threshold: float = 5.0) -> list[Anomaly]:
     """All offsets h in [1, p) whose pair count strays from p/s^2 by more than
     threshold * sqrt(p), annotated with membership in the critical-difference
-    set.  Exact comparison; only the reported deviation column is a float."""
-    if k != 2:
-        raise InvalidInputError("anomaly scans cover pair correlations (k=2) only")
+    set `obstructions` (critical_diffs_mod(f, p), computed by the caller).
+    Exact comparison; only the reported deviation column is a float."""
     if p < 5:
         raise InvalidInputError("anomaly scan needs p >= 5")
     mask = image_mask(f, p)
-    omega = mask.count
-    w2 = omega * omega
+    w2 = mask.count * mask.count
     # |count - omega^2/p| > c*sqrt(p)  <=>  (p*count - omega^2)^2 > c^2 * p^3
     rhs = Fraction(threshold) ** 2 * p**3
-    hits = []
+    counts = pair_counts(mask)
+    out = []
     for h in range(1, p):
-        n = (mask.bits & mask.rotated(h)).bit_count()
+        n = counts[h]
         d = p * n - w2
         if d * d * rhs.denominator > rhs.numerator:
-            hits.append((h, n, d / p**1.5))
-    if not hits:
-        return []
-    obs = critical_diffs_mod(f, p)
-    return [Anomaly(h, n, dev, h in obs) for h, n, dev in hits]
+            out.append(Anomaly(h, n, d / p**1.5, h in obstructions))
+    return out
 
 
 def max_pair_correlation(f: IntPoly, primes) -> Fraction:
@@ -196,10 +176,9 @@ def max_pair_correlation(f: IntPoly, primes) -> Fraction:
         mask = image_mask(f, p)
         if mask.count == p:
             continue
-        for h in range(1, p):
-            r = Fraction((mask.bits & mask.rotated(h)).bit_count(), mask.count)
-            if best is None or r > best:
-                best = r
+        r = Fraction(max(pair_counts(mask)[1:]), mask.count)
+        if best is None or r > best:
+            best = r
     if best is None:
         raise DegenerateInputError("no non-permutation primes in sample")
     return best

@@ -29,7 +29,7 @@ from .errors import DegenerateInputError
 from .oracle import brute_joint_count
 from .parallel import pmap
 from .polyarith import IntPoly, critical_diffs_mod, parse_poly
-from .primeimage import anomaly_scan, image_mask, max_pair_correlation
+from .primeimage import anomaly_scan, image_mask, joint_count, max_pair_correlation, pair_counts
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -155,8 +155,8 @@ def check_zero_average() -> CheckResult:
         for p in primes_upto(300):
             mask = image_mask(entry.poly, p)
             w = mask.count
+            s2 = sum(pair_counts(mask))
             rots = [mask.rotated(h) for h in range(p)]
-            s2 = sum((mask.bits & r).bit_count() for r in rots)
             s3 = 0
             for r1 in rots:
                 a = mask.bits & r1
@@ -200,13 +200,13 @@ def check_anomaly_constants(seed: int = 0) -> CheckResult:
         for p in rng.sample(cls[residue], 20):
             mask = image_mask(QUARTIC, p)
             w2 = mask.count**2
-            n1 = (mask.bits & mask.rotated(1)).bit_count()
+            n1 = joint_count(mask, [1])
             dev = Fraction(p * n1, w2) - const
             if dev * dev * p > tol_sq_num:
                 failures += 1
             worst_anom = max(worst_anom, abs(float(dev)) * math.sqrt(p))
             for h in rng.sample(range(2, p - 1), 50):
-                n = (mask.bits & mask.rotated(h)).bit_count()
+                n = joint_count(mask, [h])
                 d = Fraction(p * n, w2) - 1
                 if d * d * p > tol_sq_num:
                     failures += 1
@@ -228,8 +228,8 @@ def check_anomaly_localization() -> CheckResult:
     structure_bad = 0
     flagged_total = 0
     for p in primes_from(10**4, 10):
-        scan = anomaly_scan(QUARTIC, p, threshold=ANOMALY_THRESHOLD)
         obs = critical_diffs_mod(QUARTIC, p)
+        scan = anomaly_scan(QUARTIC, p, obs, threshold=ANOMALY_THRESHOLD)
         flagged_total += len(scan)
         outside += sum(1 for a in scan if not a.in_critical_diffs)
         if len(obs.elements) - 1 != 2:
@@ -292,12 +292,7 @@ def _eps_mass_prime(f: IntPoly, p: int) -> tuple[int, int, int]:
     w2 = w * w
     if w == p:
         return p, 0, w2
-    bits = mask.bits
-    full = (1 << p) - 1
-    num = 0
-    for h in range(p):
-        r = (bits >> h | bits << (p - h)) & full if h else bits
-        num += abs(p * (bits & r).bit_count() - w2)
+    num = sum(abs(p * n - w2) for n in pair_counts(mask))
     return p, num, w2
 
 
@@ -405,8 +400,8 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
     Flags offsets, checks they sit in the critical-difference set, and for the
     quartic testbed also measures the pair-count ratio at offset 1 against its
     residue-class constant."""
-    scan = anomaly_scan(f, p, threshold=threshold)
     obs = critical_diffs_mod(f, p)
+    scan = anomaly_scan(f, p, obs, threshold=threshold)
     details: dict = {
         "p": p,
         "flagged": [a.h for a in scan],
@@ -416,7 +411,7 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
     if f == QUARTIC:
         mask = image_mask(f, p)
         const = Fraction(2, 3) if p % 4 == 1 else Fraction(4, 3)
-        n1 = (mask.bits & mask.rotated(1)).bit_count()
+        n1 = joint_count(mask, [1])
         ratio = Fraction(p * n1, mask.count**2)
         dev = ratio - const
         details["residue_class"] = p % 4

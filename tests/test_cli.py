@@ -99,6 +99,13 @@ def test_nk_command(capsys):
     assert [d["count"] for d in r["per_prime"]] == [1, 2, 2]
 
 
+def test_nk_rejects_bad_lists(capsys):
+    code, out, err = run(capsys, "nk", "--poly", "x^2", "--modulus", "105", "--offsets", "")
+    assert code == 2 and "--offsets" in err and not out
+    code, out, err = run(capsys, "nk", "--poly", "x^2", "--primes", "3,5,a", "--offsets", "1")
+    assert code == 2 and "--primes" in err and not out
+
+
 def test_verify_multiplicativity(capsys):
     code, out, err = run(capsys, "verify", "multiplicativity")
     assert code == 0

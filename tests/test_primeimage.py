@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyimage.composite import joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError
 from polyimage.oracle import brute_image, brute_joint_count
-from polyimage.polyarith import parse_poly
+from polyimage.polyarith import IntPoly, ObstructionSet, critical_diffs_mod, parse_poly
 from polyimage.primeimage import (
     anomaly_scan,
     compute_image,
@@ -16,6 +19,7 @@ from polyimage.primeimage import (
     joint_count,
     joint_count_error,
     max_pair_correlation,
+    pair_counts,
     prime_stats,
 )
 
@@ -53,18 +57,12 @@ def test_image_out_of_range():
         compute_image(parse_poly("x^2"), 1 << 31)
 
 
-def test_strategies_agree():
-    for f in CORPUS:
-        for p in primes_upto(200) + [1009, 10007]:
-            h = compute_image(f, p, "horner")
-            d = compute_image(f, p, "fdiff")
-            assert h.bits == d.bits and h.count == d.count, (f, p)
-
-
 def test_image_matches_oracle():
     for f in CORPUS:
-        for p in (2, 3, 5, 7, 101, 997):
-            assert compute_image(f, p).elements() == brute_image(f, p), (f, p)
+        for p in primes_upto(200) + [1009, 10007]:
+            m = compute_image(f, p)
+            expected = brute_image(f, p)
+            assert m.elements() == expected and m.count == len(expected), (f, p)
 
 
 def test_joint_count_examples():
@@ -92,17 +90,24 @@ def test_pair_count_reflection_symmetry():
                 assert joint_count(mask, [h]) == joint_count(mask, [p - h])
 
 
+def _pair_error(f, p, h):
+    mask = image_mask(f, p)
+    return joint_count_error(mask, joint_count(mask, [h]), 2)
+
+
 def test_joint_count_error_examples():
     f = parse_poly("x^2")
-    assert joint_count_error(f, 7, [1]) == Fraction(-1, 8)
-    assert joint_count_error(f, 7, [0]) == Fraction(3, 4)
-    assert sum(joint_count_error(f, 7, [h]) for h in range(7)) == 0
+    assert _pair_error(f, 7, 1) == Fraction(-1, 8)
+    assert _pair_error(f, 7, 0) == Fraction(3, 4)
+    assert sum(_pair_error(f, 7, h) for h in range(7)) == 0
+    mask = image_mask(f, 7)
+    assert joint_count_error(mask, joint_count(mask, [1, 2]), 3) == Fraction(49 - 64, 64)
 
 
 def test_error_zero_average_small_primes():
     for f in CORPUS:
         for p in primes_upto(60):
-            assert sum(joint_count_error(f, p, [h]) for h in range(p)) == 0, (f, p)
+            assert sum(_pair_error(f, p, h) for h in range(p)) == 0, (f, p)
 
 
 def test_expected_joint_count():
@@ -111,11 +116,15 @@ def test_expected_joint_count():
 
 
 def test_anomaly_scan_examples():
-    assert anomaly_scan(parse_poly("x^2"), 101, threshold=5.0) == []
-    assert anomaly_scan(parse_poly("x"), 101, threshold=5.0) == []
+    square = parse_poly("x^2")
+    assert anomaly_scan(square, 101, critical_diffs_mod(square, 101), threshold=5.0) == []
+    # x has no critical values, hence an empty obstruction set
+    assert anomaly_scan(parse_poly("x"), 101, ObstructionSet("mod", 101, ()),
+                        threshold=5.0) == []
     # at p=13 the +/-1 offsets of the quartic are flagged once the threshold
     # drops below their deviation, and they land in the obstruction set
-    scan = anomaly_scan(parse_poly("x^4-2x^2"), 13, threshold=0.05)
+    quartic = parse_poly("x^4-2x^2")
+    scan = anomaly_scan(quartic, 13, critical_diffs_mod(quartic, 13), threshold=0.05)
     flagged = {a.h for a in scan}
     assert {1, 12} <= flagged
     by_h = {a.h: a for a in scan}
@@ -123,10 +132,9 @@ def test_anomaly_scan_examples():
 
 
 def test_anomaly_scan_input_checks():
+    f = parse_poly("x^2")
     with pytest.raises(InvalidInputError):
-        anomaly_scan(parse_poly("x^2"), 3)
-    with pytest.raises(InvalidInputError):
-        anomaly_scan(parse_poly("x^2"), 101, k=3)
+        anomaly_scan(f, 3, critical_diffs_mod(f, 3))
 
 
 def test_max_pair_correlation_examples():
@@ -171,3 +179,25 @@ def test_cubic_image_density_stability():
         c = sum(ratios) / len(ratios)
         for p, r in zip(ps, ratios):
             assert abs(float(r - c)) <= 5 / p**0.5, (text, p)
+
+
+SQUARE_FREE = [q for q in range(2, 1001) if all(q % (d * d) for d in range(2, 32))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+    p=st.sampled_from(primes_upto(300)),
+    offsets=st.lists(st.integers(-1000, 1000), min_size=1, max_size=3),
+    q=st.sampled_from(SQUARE_FREE),
+)
+def test_counts_match_oracle(coeffs, p, offsets, q):
+    f = IntPoly(tuple(coeffs))
+    mask = image_mask(f, p)
+    counts = pair_counts(mask)
+    assert counts == [brute_joint_count(f, p, [h]) for h in range(p)]
+    assert sum(counts) == mask.count**2
+    assert all(counts[h] == counts[p - h] for h in range(1, p))
+    assert joint_count(mask, offsets) == brute_joint_count(f, p, offsets)
+    m = parse_modulus(q)
+    assert joint_count_composite(f, m, offsets) == brute_joint_count(f, q, offsets)

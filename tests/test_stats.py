@@ -13,7 +13,6 @@ from polyimage.polyarith import parse_poly
 from polyimage.stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
-    consecutive_tuples,
     correlation,
     gap_frequency,
     histogram_normalized,
@@ -23,11 +22,15 @@ from polyimage.stats import (
 )
 
 
+def normalized(s):
+    return [int(g) * s.scale for g in s.raw_gaps]
+
+
 def test_spacing_example_mod_7():
     s = spacing_series(parse_poly("x^2"), parse_modulus(7))
     assert list(s.raw_gaps) == [1, 1, 2, 3]
-    assert s.normalized == [Fraction(4, 7), Fraction(4, 7), Fraction(8, 7), Fraction(12, 7)]
-    assert sum(s.normalized) == 4
+    assert normalized(s) == [Fraction(4, 7), Fraction(4, 7), Fraction(8, 7), Fraction(12, 7)]
+    assert sum(normalized(s)) == 4
 
 
 def test_spacing_degenerate_refusal():
@@ -40,7 +43,7 @@ def test_spacing_sums_exact():
         m = parse_modulus(qv)
         s = spacing_series(parse_poly("x^2"), m)
         assert int(s.raw_gaps.sum()) == qv
-        assert sum(s.normalized) == s.element_count
+        assert sum(normalized(s)) == s.element_count
         assert len(s.raw_gaps) == s.element_count
 
 
@@ -77,32 +80,17 @@ def test_ks_permutation_invariant():
 def test_ks_series_matches_value_path():
     s = spacing_series(parse_poly("x^2"), parse_modulus(1155))
     ks = ks_exponential(s)
-    direct = ks_statistic_exponential([float(v) for v in s.normalized])
+    direct = ks_statistic_exponential([float(v) for v in normalized(s)])
     assert ks.statistic == pytest.approx(direct, abs=1e-12)
     assert ks.n == s.element_count
 
 
-def test_consecutive_tuples_example():
-    s = spacing_series(parse_poly("x^2"), parse_modulus(7))
-    jt = consecutive_tuples(s, 2)
-    assert jt.tuples() == [
-        (Fraction(4, 7), Fraction(4, 7)),
-        (Fraction(4, 7), Fraction(8, 7)),
-        (Fraction(8, 7), Fraction(12, 7)),
-        (Fraction(12, 7), Fraction(4, 7)),
-    ]
-
-
-def test_consecutive_tuples_k1_is_series():
-    s = spacing_series(parse_poly("x^2"), parse_modulus(7))
-    jt = consecutive_tuples(s, 1)
-    assert [t[0] for t in jt.tuples()] == s.normalized
-
-
-def test_consecutive_tuples_too_short():
-    s = spacing_series(parse_poly("x^2"), parse_modulus(7))
-    with pytest.raises(InvalidInputError):
-        consecutive_tuples(s, 5)
+def test_ks_series_matches_scipy():
+    sps = pytest.importorskip("scipy.stats")
+    for primes in ([7], [3, 5, 7, 11]):
+        s = spacing_series(parse_poly("x^2"), parse_modulus(primes))
+        ref = sps.kstest([float(v) for v in normalized(s)], "expon")
+        assert ks_exponential(s).statistic == pytest.approx(ref.statistic, abs=1e-12)
 
 
 def test_adjacent_correlation_small_at_moderate_q():
