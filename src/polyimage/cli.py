@@ -5,7 +5,8 @@ fixed config produces byte-identical bytes; runs that differ only in
 --workers give the same `result` payload, while `config` echoes the worker
 count), a short human summary goes to stderr, CSV histogram data goes to
 --out.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource cap.
+3 resource cap, 4 internal error (an unexpected exception, reported as one
+`internal error: <Type>: <message>` line on stderr).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .polyarith import (
     critical_diffs_infinity,
     critical_diffs_mod,
     critical_value_poly,
+    is_probable_prime,
     parse_poly,
     poly_to_text,
 )
@@ -254,8 +256,6 @@ def _write_out(cfg: RunConfig, rows: list[dict], result: dict) -> None:
 
 
 def _require_prime(p: int) -> int:
-    from .composite import is_probable_prime
-
     if not is_probable_prime(p):
         raise InvalidInputError(f"--prime {p} is not prime")
     return p
@@ -419,6 +419,9 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -24,41 +24,20 @@ import numpy as np
 
 from .errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from .parallel import pmap
-from .polyarith import IntPoly
+from .polyarith import IntPoly, is_probable_prime
 from .primeimage import ImageMask, PrimeStats, image_mask, joint_count, prime_stats
 
 DEFAULT_CAP_BITS = 1 << 31
 _TRIAL_LIMIT = 10**6
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 2^64."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+# work bound for Brent rho: factors of ~10^11 and below are found well within it
+_RHO_STEPS = 1 << 20
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite odd n.  Raises ResourceCapError after
+    about _RHO_STEPS iterations of the pseudo-random map in total."""
     rng = random.Random(n)
+    steps = 0
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -66,6 +45,11 @@ def _brent_rho(n: int) -> int:
         g = r = q = 1
         x = ys = y
         while g == 1:
+            if steps > _RHO_STEPS:
+                raise ResourceCapError(
+                    f"no factor of {n} found within {_RHO_STEPS} rho steps; "
+                    "pass the prime factors with --primes"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -77,6 +61,7 @@ def _brent_rho(n: int) -> int:
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+            steps += r + k
             r *= 2
         if g == n:
             g = 1

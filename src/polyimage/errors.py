@@ -1,6 +1,8 @@
 """Exceptions shared across the package.
 
 The CLI maps these onto exit codes: invalid input -> 2, resource cap -> 3.
+Any other exception escaping a command is an internal error -> 4, so a crash
+never reads as exit 1, a verification failure.
 """
 
 

@@ -1,16 +1,18 @@
 """Brute-force reference implementations.
 
 Everything here is a direct transcription of a definition: loop over all
-residues, no bitsets, no CRT, no resultants.  Deliberately slow and boring;
+residues, no bitsets, no CRT, no resultants beyond the critical-value
+polynomial C that defines the obstruction sets.  Deliberately slow and boring;
 the tests trust these and check the fast paths against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InvalidInputError
-from .polyarith import IntPoly, critical_diffs_mod
+from .polyarith import IntPoly, critical_diffs_mod, critical_value_poly, fp_gcd
 
 MAX_BRUTE_MODULUS = 10**6
 
@@ -36,6 +38,37 @@ def brute_joint_count(f: IntPoly, m: int, offsets) -> int:
         for t in image
         if all((t + h) % m in image for h in offsets)
     )
+
+
+def brute_critical_diffs(f: IntPoly, p: int) -> list[int]:
+    """Residues h in [0, p) with deg gcd(C_p(y), C_p(y + h)) > 0, one gcd per
+    shift: the definition of the mod-p obstruction set outside the wild
+    regime (where critical_value_poly raises WildModulusError)."""
+    if p > MAX_BRUTE_MODULUS:
+        raise InvalidInputError(f"brute-force modulus {p} exceeds {MAX_BRUTE_MODULUS}")
+    c = critical_value_poly(f, p)
+    return [h for h in range(p) if fp_gcd(c, c.shifted(h)).degree > 0]
+
+
+def _gcd_degree_q(a: IntPoly, b: IntPoly) -> int:
+    """Degree of gcd(a, b) over Q, by Euclid on Fraction coefficients."""
+    u = [Fraction(c) for c in a.coeffs]
+    v = [Fraction(c) for c in b.coeffs]
+    while v:
+        while len(u) >= len(v):
+            q, shift = u[-1] / v[-1], len(u) - len(v)
+            for i, c in enumerate(v):
+                u[shift + i] -= q * c
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) - 1
+
+
+def brute_critical_diffs_integers(f: IntPoly, radius: int) -> list[int]:
+    """Integers |r| <= radius with gcd(C(y), C(y + r)) nonconstant over Q."""
+    c = critical_value_poly(f)
+    return [r for r in range(-radius, radius + 1) if _gcd_degree_q(c, c.shifted(r)) > 0]
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 Coefficients are stored ascending (coeffs[i] multiplies x**i) with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the ring operations
 this module provides resultants (fraction-free subresultant PRS over Z,
-Euclidean over F_p), the critical-value polynomial of a map x -> f(x), and the
-obstruction sets of critical-value differences: the integer differences and,
-per prime, the residues h for which two critical values collide after a shift
-by h.  Offsets whose pairwise differences avoid the mod-p obstruction set are
-exactly the ones where joint image counts follow the independence model.
+Euclidean over F_p), roots over F_p, the critical-value polynomial of a map
+x -> f(x), and the obstruction sets of critical-value differences: the
+integer differences and, per prime, the residues h for which two critical
+values collide after a shift by h, both read off the roots of one
+difference resultant.  Offsets whose pairwise differences avoid the mod-p
+obstruction set are exactly the ones where joint image counts follow the
+independence model.
 
 Everything here is pure and exact; nothing touches floating point.
 """
@@ -18,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import DegenerateInputError, InvalidInputError, WildModulusError
 
@@ -193,6 +196,11 @@ class FpPoly:
         inv = pow(self.leading, -1, self.p)
         return FpPoly(self.p, _trim(c * inv % self.p for c in self.coeffs))
 
+    def __sub__(self, other: "FpPoly") -> "FpPoly":
+        self._check(other)
+        return FpPoly(self.p, _trim((a - b) % self.p for a, b in
+                                    zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
         if self.is_zero or other.is_zero:
@@ -288,7 +296,7 @@ def poly_to_text(f, var: str = "x") -> str:
 
 
 # ---------------------------------------------------------------------------
-# gcds
+# gcds, roots, primality
 
 def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     """Monic gcd over F_p.  gcd(a, 0) = monic(a)."""
@@ -298,31 +306,77 @@ def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
     return a.monic()
 
 
-def _qq_gcd_degree(a: IntPoly, b: IntPoly) -> int:
-    """Degree of gcd(a, b) over Q (-1 when both are zero)."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
+def _fp_powmod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
+    """base^e mod `mod` by square-and-multiply."""
+    out = FpPoly.of(mod.p, 1) % mod
+    base = base % mod
+    while e:
+        if e & 1:
+            out = out * base % mod
+        e >>= 1
+        if e:
+            base = base * base % mod
+    return out
 
-    def deg(v):
-        return len(v) - 1
 
-    def rem(u, v):
-        u = list(u)
-        dv = deg(v)
-        inv = 1 / v[-1]
-        for k in range(deg(u) - dv, -1, -1):
-            c = u[dv + k] * inv
-            if c:
-                for i, x in enumerate(v):
-                    u[k + i] -= c * x
-            del u[dv + k]
-        while u and not u[-1]:
-            u.pop()
-        return u
+def fp_roots(g: FpPoly) -> list[int]:
+    """The distinct roots of a nonzero g in F_p, ascending.
 
-    while fb:
-        fa, fb = fb, rem(fa, fb)
-    return deg(fa)
+    g is first cut to gcd(g, h^p - h), the product of its distinct linear
+    factors; each factor of degree d >= 2 is then split by
+    gcd(., (h + a)^((p-1)/2) - 1) for a = 0, 1, 2, ... until the split is
+    proper (Cantor-Zassenhaus with deterministic a: for two distinct roots
+    some a < p separates them, so a only affects the running time).
+    """
+    p = g.p
+    h = FpPoly.of(p, 0, 1)
+    g = fp_gcd(g, _fp_powmod(h, p, g) - h)
+    if p == 2:
+        return [r for r in (0, 1) if g.evaluate(r) == 0]
+    one = FpPoly.of(p, 1)
+    roots = []
+    stack = [g]
+    while stack:
+        g = stack.pop()
+        if g.degree == 1:
+            roots.append(-g.coeffs[0] % p)
+            continue
+        if g.degree < 1:
+            continue
+        a = 0
+        while True:
+            d = fp_gcd(g, _fp_powmod(FpPoly.of(p, a, 1), (p - 1) // 2, g) - one)
+            if 0 < d.degree < g.degree:
+                break
+            a += 1
+        stack += [d, divmod(g, d)[0]]
+    return sorted(roots)
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin with fixed bases; deterministic for n < 2^64."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -559,23 +613,50 @@ def critical_value_poly(f: IntPoly, p: int | None = None):
     return c.monic()
 
 
-def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
-    """Integers r that occur as a difference of two critical values of f.
+def difference_resultant(c):
+    """R(h) = Res_y(C(y), C(y + h)) for C over Z or F_p of degree m >= 1.
 
-    Scans |r| up to twice a Cauchy root bound of C(y) and keeps the r where
-    gcd(C(y), C(y+r)) over Q is nonconstant.
+    R(h) = lc(C)^(2m) * prod (h + a - b) over pairs of roots a, b of C, so it
+    has degree m^2, is never zero, and its roots are exactly the h with
+    gcd(C(y), C(y + h)) nonconstant.  The coefficient of h^j in C(y + h) is
+    the Hasse derivative sum_k c_k * binom(k, j) * y^(k - j).
+    """
+    m = c.degree
+    hasse = [[c.coeffs[k] * math.comb(k, j) for k in range(j, m + 1)] for j in range(m + 1)]
+    if isinstance(c, FpPoly):
+        return resultant_x(c, [FpPoly(c.p, _trim(v % c.p for v in row)) for row in hasse])
+    return resultant_x(c, [IntPoly(_trim(row)) for row in hasse])
+
+
+def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
+    """Integers r that occur as a difference of two critical values of f,
+    i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
+
+    These are the integer roots of R = difference_resultant(C).  Each root is
+    a difference of two roots of C, so |r| <= B = 2 * (1 + ceil(max|c_i| /
+    |lc C|)) by Cauchy's bound; the roots of R mod a prime P > 2B with
+    P not dividing lc(R), lifted to (-P/2, P/2), contain them all, and the
+    ones with R(r) = 0 exactly are kept.  P is chosen by is_probable_prime,
+    which is deterministic below 2^64.
     """
     c = critical_value_poly(f)
-    bound = 1 + Fraction(max(abs(x) for x in c.coeffs), abs(c.leading))
-    radius = math.ceil(2 * bound)
-    hits = [r for r in range(-radius, radius + 1)
-            if _qq_gcd_degree(c, c.shifted(r)) > 0]
-    return ObstructionSet("infinity", None, tuple(hits))
+    r = difference_resultant(c)
+    ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
+    bound = 2 * (1 + ratio)
+    prime = 2 * bound + 1
+    while not is_probable_prime(prime) or r.leading % prime == 0:
+        prime += 1
+    lifted = (h if 2 * h < prime else h - prime
+              for h in fp_roots(FpPoly.from_int_poly(r, prime)))
+    return ObstructionSet("infinity", None, tuple(sorted(h for h in lifted if r.evaluate(h) == 0)))
 
 
 def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     """Residues h in [0, p) where the mod-p critical-value set meets its own
-    translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0.
+    translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0: the F_p-roots of
+    difference_resultant(C_p).  For p <= m^2 (m = deg C_p) there are too few
+    interpolation nodes for that resultant, and each h is tested by
+    Res(C_p(y), C_p(y+h)) = 0 instead.
 
     In the wild regime (f' degenerate mod p) falls back to scanning critical
     points in F_p itself; the result is then flagged approximate because
@@ -590,7 +671,13 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
                   if dbar.is_zero or dbar.evaluate(x) == 0}
         diffs = {(a - b) % p for a in values for b in values}
         return ObstructionSet("mod", p, tuple(sorted(diffs)), approximate=True)
-    hits = [h for h in range(p) if fp_gcd(c, c.shifted(h)).degree > 0]
+    m = c.degree
+    if m < 1:
+        hits = []
+    elif p <= m * m:
+        hits = [h for h in range(p) if fp_resultant(c, c.shifted(h)) == 0]
+    else:
+        hits = fp_roots(difference_resultant(c))
     return ObstructionSet("mod", p, tuple(hits))
 
 

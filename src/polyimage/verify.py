@@ -21,14 +21,13 @@ from functools import partial
 from .composite import (
     composite_stats,
     enumerate_image,
-    is_probable_prime,
     joint_count_composite,
     parse_modulus,
 )
 from .errors import DegenerateInputError
 from .oracle import brute_joint_count
 from .parallel import pmap
-from .polyarith import IntPoly, critical_diffs_mod, parse_poly
+from .polyarith import IntPoly, critical_diffs_mod, is_probable_prime, parse_poly
 from .primeimage import anomaly_scan, image_mask, joint_count, max_pair_correlation, pair_counts
 from .stats import (
     CorrelationWindow,

@@ -1,7 +1,9 @@
 """CLI contract: reports, exit codes, determinism."""
 
 import json
+import time
 
+from polyimage import cli
 from polyimage.cli import main
 
 
@@ -83,6 +85,37 @@ def test_critical_command(capsys):
     code, out, _ = run(capsys, "critical", "--poly", "x^2")
     r = json.loads(out)["result"]
     assert r["critical_diffs_integers"] == [0]
+
+
+def test_critical_large_coefficients_and_prime(capsys):
+    # integer sets whose root bound is in the millions, and a 61-bit prime
+    for poly, want in (("x^3-300x", [-4000, 0, 4000]), ("x^4-200x^2", [-10000, 0, 10000])):
+        code, out, _ = run(capsys, "critical", "--poly", poly)
+        assert code == 0
+        assert json.loads(out)["result"]["critical_diffs_integers"] == want
+    p = 2**61 - 1
+    code, out, _ = run(capsys, "critical", "--poly", "x^4-2x^2", "--prime", str(p))
+    assert code == 0
+    assert json.loads(out)["result"]["critical_diffs_mod_p"]["elements"] == [0, 1, p - 1]
+
+
+def test_image_unfactorable_modulus_exit(capsys):
+    # two Mersenne primes of 61 and 89 bits are beyond the factoring budget
+    start = time.perf_counter()
+    code, out, err = run(capsys, "image", "--poly", "x^2",
+                         "--modulus", str((2**61 - 1) * (2**89 - 1)))
+    assert code == 3 and "--primes" in err and not out
+    assert time.perf_counter() - start < 10
+
+
+def test_internal_error_exit(capsys, monkeypatch):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "image", boom)
+    code, out, err = run(capsys, "image", "--poly", "x^2", "--modulus", "105")
+    assert code == 4 and not out
+    assert err.strip() == "internal error: RuntimeError: boom"
 
 
 def test_critical_degenerate(capsys):

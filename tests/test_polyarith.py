@@ -1,19 +1,28 @@
 """Exact arithmetic: parsing, gcds, resultants, critical-value sets."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyimage.errors import DegenerateInputError, InvalidInputError, WildModulusError
-from polyimage.oracle import critical_diffs_check
+from polyimage.oracle import (
+    brute_critical_diffs,
+    brute_critical_diffs_integers,
+    critical_diffs_check,
+)
 from polyimage.polyarith import (
     FpPoly,
     IntPoly,
     critical_diffs_infinity,
     critical_diffs_mod,
     critical_value_poly,
+    difference_resultant,
     fp_gcd,
     fp_resultant,
+    fp_roots,
     int_resultant,
     parse_poly,
     poly_to_text,
@@ -101,6 +110,26 @@ def test_fp_gcd_divides_both():
         if g.is_zero:
             continue
         assert (a % g).is_zero and (b % g).is_zero
+
+
+def test_fp_roots_match_evaluation():
+    rng = random.Random(13)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 13, 101])
+        g = FpPoly(p, tuple(rng.randrange(p) for _ in range(rng.randrange(2, 8))))
+        if g.is_zero:
+            continue
+        assert fp_roots(g) == [r for r in range(p) if g.evaluate(r) == 0], (p, g.coeffs)
+
+
+def test_fp_roots_large_prime():
+    p = 2**61 - 1
+    want = sorted({0, 1, p - 1, 12345678901234, 2**60 + 7})
+    g = FpPoly.of(p, 3)
+    for r in want + [1, 0]:  # repeated roots are reported once
+        g = g * FpPoly.of(p, -r, 1)
+    g = g * FpPoly.of(p, 1, 0, 1)  # no root: -1 is not a square, as p = 3 mod 4
+    assert fp_roots(g) == want
 
 
 def test_fp_gcd_modulus_mismatch():
@@ -218,12 +247,87 @@ def test_critical_diffs_infinity_examples():
     assert critical_diffs_infinity(parse_poly("x^2")).elements == (0,)
     assert critical_diffs_infinity(parse_poly("x^4-2x^2")).elements == (-1, 0, 1)
     assert critical_diffs_infinity(parse_poly("x^3")).elements == (0,)
+    # critical values +-2000 and {0, -10^4}: root bounds in the millions
+    assert critical_diffs_infinity(parse_poly("x^3-300x")).elements == (-4000, 0, 4000)
+    assert critical_diffs_infinity(parse_poly("x^4-200x^2")).elements == (-10000, 0, 10000)
 
 
 def test_critical_diffs_mod_examples():
     assert critical_diffs_mod(parse_poly("x^4-2x^2"), 7).elements == (0, 1, 6)
     assert critical_diffs_mod(parse_poly("x^2"), 13).elements == (0,)
+    p = 2**61 - 1
+    assert critical_diffs_mod(parse_poly("x^4-2x^2"), p).elements == (0, 1, p - 1)
     assert 3 not in critical_diffs_mod(parse_poly("x^4-2x^2"), 7)
+
+
+def test_difference_resultant_degree_and_roots():
+    for f in CORPUS:
+        c = critical_value_poly(f)
+        r = difference_resultant(c)
+        m = c.degree
+        assert r.degree == m * m and abs(r.leading) == c.leading ** (2 * m)
+        for p in (11, 13):
+            cp = critical_value_poly(f, p)
+            rp = difference_resultant(cp)
+            assert rp.degree == cp.degree ** 2
+            assert [h for h in range(p) if rp.evaluate(h) == 0] == brute_critical_diffs(f, p)
+
+
+def _check_against_oracle(f, p):
+    obs = critical_diffs_mod(f, p)
+    try:
+        want = brute_critical_diffs(f, p)
+    except WildModulusError:
+        assert obs.approximate, (f, p)
+        return
+    assert not obs.approximate and list(obs.elements) == want, (f, p)
+
+
+def test_critical_diffs_mod_matches_oracle_corpus():
+    # every prime below 300: the p <= m^2 branch, the root-finding branch and the wild fallback
+    for f in CORPUS:
+        for p in primes_upto(300):
+            _check_against_oracle(f, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-20, 20), min_size=3, max_size=7),
+       p=st.sampled_from(primes_upto(300)))
+def test_critical_diffs_mod_matches_oracle_property(coeffs, p):
+    f = IntPoly.from_coeffs(coeffs)
+    if f.degree >= 2:
+        _check_against_oracle(f, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(coeffs=st.lists(st.integers(-3, 3), min_size=3, max_size=5))
+def test_critical_diffs_infinity_matches_oracle(coeffs):
+    f = IntPoly.from_coeffs(coeffs)
+    if f.degree < 2:
+        return
+    c = critical_value_poly(f)
+    radius = 2 * (1 + math.ceil(max(abs(x) for x in c.coeffs[:-1]) / c.leading))
+    if radius > 400:  # keep the per-shift Q-gcd scan short
+        return
+    assert list(critical_diffs_infinity(f).elements) == brute_critical_diffs_integers(f, radius), f
+
+
+@settings(max_examples=25, deadline=None)
+@given(points=st.lists(st.integers(-3, 3), min_size=1, max_size=3), const=st.integers(-5, 5))
+def test_critical_diffs_infinity_rational_critical_points(points, const):
+    # f' = d * prod (x - r) with d = lcm(1..deg f): f is integral, its critical
+    # values are the integers f(r), and their differences are the whole set
+    d = math.lcm(*range(1, len(points) + 2))
+    deriv = IntPoly.of(d)
+    for r in points:
+        deriv = deriv * IntPoly.of(-r, 1)
+    f = IntPoly.from_coeffs([const] + [c // (k + 1) for k, c in enumerate(deriv.coeffs)])
+    values = {f.evaluate(r) for r in points}
+    got = list(critical_diffs_infinity(f).elements)
+    assert got == sorted({a - b for a in values for b in values})
+    radius = 2 * max(abs(v) for v in values) + 1
+    if radius <= 500:
+        assert got == brute_critical_diffs_integers(f, radius)
 
 
 def test_critical_diffs_mod_wild_case_flagged():
