@@ -6,7 +6,9 @@ fixed config produces byte-identical bytes; runs that differ only in
 count), a short human summary goes to stderr, CSV histogram data goes to
 --out.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource cap, 4 internal error (an unexpected exception, reported as one
-`internal error: <Type>: <message>` line on stderr).
+`internal error: <Type>: <message>` line on stderr).  A reader that closes
+stdout before the report is written is not an error: the command exits 0
+and stays silent.
 """
 
 from __future__ import annotations
@@ -412,7 +414,14 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         if cfg.format is None:
             cfg.format = "csv" if cfg.command == "spacings" else "json"
-        return _COMMANDS[cfg.command](cfg)
+        code = _COMMANDS[cfg.command](cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; point the fd at devnull so the
+        # flush at interpreter exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,7 +175,7 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
 
 class EnumeratedImage:
     """Packed length-q bitmap of the image of f modulo q, with sorted
-    iteration over the elements in chunks."""
+    iteration over the elements in chunks.  Bits at q and above are clear."""
 
     def __init__(self, modulus: SquareFreeModulus, packed: np.ndarray, count: int):
         self.modulus = modulus
@@ -184,24 +184,17 @@ class EnumeratedImage:
         self.count = count
         packed.flags.writeable = False
 
-    def contains(self, t: int) -> bool:
-        t %= self.q
-        return bool(self.packed[t >> 3] >> (t & 7) & 1)
-
-    def bit_int(self) -> int:
-        return int.from_bytes(self.packed.tobytes(), "little")
-
-    def elements(self) -> np.ndarray:
-        """Sorted residues in the image, as int64."""
-        out = []
+    def element_chunks(self):
+        """Sorted residues in the image, as int64 arrays covering at most
+        8 * _ELEMENT_CHUNK_BYTES consecutive residues each; empty ranges are
+        skipped."""
         chunk = _ELEMENT_CHUNK_BYTES
         for off in range(0, len(self.packed), chunk):
             part = np.unpackbits(self.packed[off:off + chunk], bitorder="little")
-            idx = np.flatnonzero(part).astype(np.int64)
-            idx += off << 3
-            out.append(idx)
-        res = np.concatenate(out) if out else np.zeros(0, np.int64)
-        return res[res < self.q]
+            idx = np.flatnonzero(part).astype(np.int64, copy=False)
+            if len(idx):
+                idx += off << 3
+                yield idx
 
 
 _ELEMENT_CHUNK_BYTES = 1 << 20

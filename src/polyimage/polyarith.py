@@ -679,39 +679,3 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     else:
         hits = fp_roots(difference_resultant(c))
     return ObstructionSet("mod", p, tuple(hits))
-
-
-def translates_disjoint(f: IntPoly, p: int, offsets) -> bool:
-    """True iff the critical-value set and all its translates by the offsets
-    (plus the implicit offset 0) are pairwise disjoint mod p."""
-    obs = critical_diffs_mod(f, p)
-    hs = [0] + [h % p for h in offsets]
-    return all(
-        (hs[i] - hs[j]) % p not in obs
-        for i in range(len(hs))
-        for j in range(i + 1, len(hs))
-    )
-
-
-def translates_disjoint_merged_pair(f: IntPoly, p: int, offsets) -> bool:
-    """Weaker condition allowing the first translate to overlap the base set:
-    requires h1 != 0 and pairwise disjointness where the base set and its
-    h1-translate count as one block."""
-    offsets = list(offsets)
-    if not offsets:
-        raise InvalidInputError("need at least one offset")
-    hs = [h % p for h in offsets]
-    if hs[0] == 0:
-        return False
-    if len(hs) == 1:
-        return True
-    obs = critical_diffs_mod(f, p)
-    block = (0, hs[0])
-    rest = hs[1:]
-    for i, a in enumerate(rest):
-        if any((a - b) % p in obs for b in block):
-            return False
-        for b in rest[i + 1:]:
-            if (a - b) % p in obs:
-                return False
-    return True

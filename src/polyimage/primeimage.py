@@ -34,9 +34,6 @@ class ImageMask:
     bits: int
     count: int
 
-    def contains(self, t: int) -> bool:
-        return bool(self.bits >> (t % self.p) & 1)
-
     def elements(self) -> list[int]:
         return [t for t in range(self.p) if self.bits >> t & 1]
 

@@ -2,7 +2,10 @@
 
 Gaps between consecutive image elements modulo q (including the wraparound
 gap that closes the cycle) are normalized by the exact mean spacing q/|image|
-so that the reference model is the unit-rate exponential.  Everything stays
+so that the reference model is the unit-rate exponential.  Every spacing
+statistic reads one gap table -- the count of each gap value and the lag-1
+sum of products of neighbouring gaps -- which is filled in one streamed pass
+over the image, so no per-gap array is ever held.  Everything stays
 rational until a statistic is inherently real-valued: the KS distance and
 histogram columns convert single gap values to floats at the last step.
 
@@ -36,18 +39,18 @@ DEFAULT_LATTICE_CAP = 4_000_000
 
 @dataclass
 class SpacingSeries:
-    """Gaps of the image modulo q.
+    """Gap table of the image modulo q: the cyclic gaps between consecutive
+    image elements (wraparound included), kept as their sorted distinct
+    values with counts, plus the exact lag-1 sum over the cycle.
 
-    raw_gaps sum to q (wraparound included); times the exact scale |image|/q
-    they become the normalized gaps, which sum to the element count."""
+    The gaps sum to q; times the exact scale |image|/q they become the
+    normalized gaps, which sum to the element count."""
 
     modulus: SquareFreeModulus
     element_count: int
-    raw_gaps: np.ndarray
-
-    @property
-    def scale(self) -> Fraction:
-        return Fraction(self.element_count, self.modulus.q)
+    gap_values: np.ndarray
+    gap_counts: np.ndarray
+    lag_sum: int
 
 
 def spacing_series(
@@ -56,26 +59,45 @@ def spacing_series(
     cap_bits: int = DEFAULT_CAP_BITS,
     workers: int = 1,
 ) -> SpacingSeries:
-    """Sorted-image gaps of f modulo q.  Refuses degenerate moduli where the
-    mean spacing is 1 (nothing to normalize)."""
+    """Gap table of f modulo q, streamed from the image bitmap chunk by
+    chunk.  Refuses degenerate moduli where the mean spacing is 1 (nothing
+    to normalize)."""
     reduced = drop_permutation_primes(f, modulus)
     if not reduced.primes:
         raise DegenerateInputError("degenerate: mean spacing 1")
     enum = enumerate_image(f, modulus, cap_bits=cap_bits, workers=workers)
     if enum.count < 2:
         raise DegenerateInputError("image has fewer than two elements")
-    els = enum.elements()
-    gaps = np.empty(len(els), np.int64)
-    gaps[:-1] = np.diff(els)
-    gaps[-1] = int(els[0]) - int(els[-1]) + modulus.q
-    return SpacingSeries(modulus, enum.count, gaps)
+    tables = []
+    lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
+    first = last = head = None
+    for els in enum.element_chunks():
+        if last is None:
+            first, gaps = int(els[0]), np.diff(els)
+        else:
+            gaps = np.diff(els, prepend=last)
+        last = int(els[-1])
+        if len(gaps):
+            head = int(gaps[0]) if head is None else head
+            # exact in int64: only gaps[0] can exceed a chunk's 2^23-residue
+            # span, so the dot product stays below q * 2^23 + 2^46
+            lag_sum += prev * int(gaps[0]) + int(np.dot(gaps[:-1], gaps[1:]))
+            prev = int(gaps[-1])
+            tables.append(np.unique(gaps, return_counts=True))
+    wrap = first + modulus.q - last
+    lag_sum += prev * wrap + wrap * head
+    tables.append(([wrap], [1]))
+    values, where = np.unique(np.concatenate([v for v, _ in tables]), return_inverse=True)
+    counts = np.zeros(len(values), np.int64)
+    np.add.at(counts, where, np.concatenate([c for _, c in tables]))
+    return SpacingSeries(modulus, enum.count, values, counts, lag_sum)
 
 
 def gap_frequency(series: SpacingSeries, h: int) -> Fraction:
-    """Fraction of raw gaps equal to h."""
+    """Fraction of gaps equal to h."""
     if h <= 0:
         raise InvalidInputError("gap values are positive")
-    return Fraction(int((series.raw_gaps == h).sum()), len(series.raw_gaps))
+    return Fraction(int(series.gap_counts[series.gap_values == h].sum()), series.element_count)
 
 
 @dataclass(frozen=True)
@@ -99,13 +121,12 @@ def ks_statistic_exponential(values) -> float:
 
 
 def ks_exponential(series: SpacingSeries) -> KSResult:
-    vals, counts = np.unique(series.raw_gaps, return_counts=True)
-    cum = np.cumsum(counts)
+    cum = np.cumsum(series.gap_counts)
     n = int(cum[-1])
     omega, q = series.element_count, series.modulus.q
     d = 0.0
     below = 0
-    for g, c in zip(vals, cum):
+    for g, c in zip(series.gap_values, cum):
         t = (int(g) * omega) / q  # correctly-rounded float of the exact ratio
         ref = -math.expm1(-t)
         d = max(d, abs(ref - below / n), abs(int(c) / n - ref))
@@ -114,12 +135,16 @@ def ks_exponential(series: SpacingSeries) -> KSResult:
 
 
 def adjacent_gap_correlation(series: SpacingSeries) -> float:
-    """Pearson correlation between each gap and its cyclic successor
-    (scale-free, so raw gaps suffice)."""
-    g = series.raw_gaps.astype(np.float64)
-    if len(g) < 2 or g.std() == 0:
+    """Pearson correlation between each gap and its cyclic successor, exact
+    until the final rounding: both series have mean q/n and the same
+    variance, so it is (n*lag_sum - q^2) / (n*sum(g^2) - q^2).  0.0 when
+    all gaps are equal."""
+    n, q = series.element_count, series.modulus.q
+    squares = sum(int(v) * int(v) * int(c) for v, c in zip(series.gap_values, series.gap_counts))
+    den = n * squares - q * q
+    if den == 0:
         return 0.0
-    return float(np.corrcoef(g, np.roll(g, -1))[0, 1])
+    return float(Fraction(n * series.lag_sum - q * q, den))
 
 
 @dataclass(frozen=True)
@@ -134,13 +159,14 @@ def histogram_normalized(series: SpacingSeries, bins: int = 50, upper: float = 6
     """Histogram of normalized gaps on [0, upper) plus an overflow count."""
     if bins < 1 or upper <= 0:
         raise InvalidInputError("need bins >= 1 and upper > 0")
-    ts = series.raw_gaps.astype(np.float64) * (series.element_count / series.modulus.q)
+    ts = series.gap_values.astype(np.float64) * (series.element_count / series.modulus.q)
     width = upper / bins
     idx = np.minimum((ts / width).astype(np.int64), bins)
-    counts = np.bincount(idx, minlength=bins + 1)
+    counts = np.zeros(bins + 1, np.int64)
+    np.add.at(counts, idx, series.gap_counts)
     edges = tuple(i * width for i in range(bins + 1))
     return Histogram(edges, tuple(int(c) for c in counts[:bins]),
-                     int(len(ts)), int(counts[bins]))
+                     series.element_count, int(counts[bins]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """CLI contract: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from polyimage import cli
 from polyimage.cli import main
@@ -116,6 +120,25 @@ def test_internal_error_exit(capsys, monkeypatch):
     code, out, err = run(capsys, "image", "--poly", "x^2", "--modulus", "105")
     assert code == 4 and not out
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+def test_closed_stdout_is_not_an_error():
+    # stdout is a pipe whose read end is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)  # the report sits in the buffer until the flush
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "polyimage.cli", "image", "--poly", "x^2", "--modulus", "105"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert "internal error" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_critical_degenerate(capsys):

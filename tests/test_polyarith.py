@@ -27,8 +27,6 @@ from polyimage.polyarith import (
     parse_poly,
     poly_to_text,
     resultant_x,
-    translates_disjoint,
-    translates_disjoint_merged_pair,
 )
 
 CORPUS = [parse_poly(t) for t in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2")]
@@ -375,21 +373,6 @@ def test_quartic_critical_roots_exactly_rational():
         want = {f.evaluate(x) % p for x in range(p)
                 if FpPoly.from_int_poly(d, p).evaluate(x) == 0}
         assert roots == want, p
-
-
-# --- offset hypotheses ----------------------------------------------------------
-
-def test_translates_disjoint_examples():
-    assert translates_disjoint(parse_poly("x^2"), 13, [1])
-    assert not translates_disjoint(parse_poly("x^4-2x^2"), 7, [1])
-    assert translates_disjoint(parse_poly("x^4-2x^2"), 7, [3])
-
-
-def test_translates_merged_pair_examples():
-    q = parse_poly("x^4-2x^2")
-    assert translates_disjoint_merged_pair(q, 7, [1])
-    assert not translates_disjoint_merged_pair(q, 7, [0])
-    assert not translates_disjoint_merged_pair(q, 7, [3, 1])
 
 
 def test_shift_evaluation_identity():

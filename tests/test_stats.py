@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyimage import composite
 from polyimage.composite import enumerate_image, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
-from polyimage.polyarith import parse_poly
+from polyimage.oracle import brute_image
+from polyimage.polyarith import IntPoly, parse_poly
 from polyimage.stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -23,12 +27,16 @@ from polyimage.stats import (
 
 
 def normalized(s):
-    return [int(g) * s.scale for g in s.raw_gaps]
+    """The normalized gaps in increasing order, expanded from the table."""
+    scale = Fraction(s.element_count, s.modulus.q)
+    return [int(g) * scale for g, c in zip(s.gap_values, s.gap_counts) for _ in range(c)]
 
 
 def test_spacing_example_mod_7():
     s = spacing_series(parse_poly("x^2"), parse_modulus(7))
-    assert list(s.raw_gaps) == [1, 1, 2, 3]
+    # image {0, 1, 2, 4}: gaps 1, 1, 2 and the wrap gap 3
+    assert list(s.gap_values) == [1, 2, 3] and list(s.gap_counts) == [2, 1, 1]
+    assert s.lag_sum == 1 * 1 + 1 * 2 + 2 * 3 + 3 * 1
     assert normalized(s) == [Fraction(4, 7), Fraction(4, 7), Fraction(8, 7), Fraction(12, 7)]
     assert sum(normalized(s)) == 4
 
@@ -42,9 +50,9 @@ def test_spacing_sums_exact():
     for qv in (105, 1155, 15015):
         m = parse_modulus(qv)
         s = spacing_series(parse_poly("x^2"), m)
-        assert int(s.raw_gaps.sum()) == qv
+        assert int((s.gap_values * s.gap_counts).sum()) == qv
         assert sum(normalized(s)) == s.element_count
-        assert len(s.raw_gaps) == s.element_count
+        assert int(s.gap_counts.sum()) == s.element_count
 
 
 def test_spacing_respects_cap():
@@ -56,8 +64,56 @@ def test_gap_frequency_examples():
     s = spacing_series(parse_poly("x^2"), parse_modulus(7))
     assert gap_frequency(s, 1) == Fraction(2, 4)
     assert gap_frequency(s, 5) == 0
-    total = sum(gap_frequency(s, int(h)) for h in np.unique(s.raw_gaps))
+    total = sum(gap_frequency(s, int(h)) for h in s.gap_values)
     assert total == 1
+
+
+SQUARE_FREE = [q for q in range(2, 3001) if all(q % (d * d) for d in range(2, 55))]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+       q=st.sampled_from(SQUARE_FREE))
+def test_gap_table_matches_oracle(chunk_bytes, coeffs, q):
+    # chunk_bytes=1 makes every modulus span many element chunks
+    f = IntPoly(tuple(coeffs))
+    image = brute_image(f, q)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_bytes is not None:
+            mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", chunk_bytes)
+        if len(image) < 2 or len(image) == q:
+            with pytest.raises(DegenerateInputError):
+                spacing_series(f, parse_modulus(q))
+            return
+        s = spacing_series(f, parse_modulus(q))
+    n = len(image)
+    gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + q - image[-1]]
+    values = sorted(set(gaps))
+    assert s.element_count == n
+    assert list(s.gap_values) == values
+    assert list(s.gap_counts) == [gaps.count(v) for v in values]
+    assert s.lag_sum == sum(g * gaps[(i + 1) % n] for i, g in enumerate(gaps))
+    for h in range(1, 11):
+        assert gap_frequency(s, h) == Fraction(gaps.count(h), n)
+    hist = histogram_normalized(s)
+    width = 6.0 / 50
+    bins = [min(int(float(g) * (n / q) / width), 50) for g in gaps]
+    assert list(hist.counts) == [bins.count(i) for i in range(50)]
+    assert hist.overflow == bins.count(50) and hist.total == n
+    ks = ks_exponential(s)
+    assert ks.n == n
+    assert ks.statistic == pytest.approx(
+        ks_statistic_exponential([Fraction(g * n, q) for g in gaps]), abs=1e-12)
+    corr = adjacent_gap_correlation(s)
+    den = n * sum(g * g for g in gaps) - q * q
+    if den == 0:
+        assert corr == 0.0
+    else:
+        exact = Fraction(n * sum(g * gaps[(i + 1) % n] for i, g in enumerate(gaps)) - q * q, den)
+        assert corr == float(exact)
+        g = np.array(gaps, np.float64)
+        assert corr == pytest.approx(np.corrcoef(g, np.roll(g, -1))[0, 1], abs=1e-12)
 
 
 def test_ks_single_point():
@@ -133,7 +189,7 @@ def test_correlation_matches_direct_double_loop():
     for qv in (1155, 15015):
         m = parse_modulus(qv)
         e = enumerate_image(f, m)
-        bits = e.bit_int()
+        bits = int.from_bytes(e.packed.tobytes(), "little")
         q = m.q
         full = (1 << q) - 1
         s_q = Fraction(q, e.count)
