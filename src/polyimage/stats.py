@@ -9,9 +9,12 @@ over the image, so no per-gap array is ever held.  Everything stays
 rational until a statistic is inherently real-valued: the KS distance and
 histogram columns convert single gap values to floats at the last step.
 
-The correlation sum walks the integer points of the dilated window, drops the
-points on the excluded hyperplanes (equal coordinates, zero coordinates), and
-multiplies per-prime joint counts via cached cyclic shifts.
+The correlation sum runs over the integer points of the dilated window,
+drops the points on the excluded hyperplanes (equal coordinates, zero
+coordinates), and multiplies per-prime joint counts.  A prime's counts depend
+on the point only modulo p, so each prime contributes one table of
+primeimage.joint_count values over at most p residues per axis, gathered
+over the whole box in numpy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .composite import (
 )
 from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly
-from .primeimage import image_mask
+from .primeimage import image_mask, joint_count
 
 DEFAULT_LATTICE_CAP = 4_000_000
 
@@ -232,57 +235,38 @@ def correlation(
         s_q *= Fraction(p, masks[p].count)
     if s_q == 1:  # every prime a permutation prime
         raise DegenerateInputError("degenerate: mean spacing 1")
-    ranges = []
-    total = 1
-    for a, b in window.intervals:
-        lo = math.ceil(a * s_q)
-        hi = math.floor(b * s_q)
-        ranges.append(range(lo, hi + 1))
-        total *= max(len(ranges[-1]), 0)
+    ranges = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in window.intervals]
+    shape = tuple(len(r) for r in ranges)
+    total = math.prod(shape)
     if total > lattice_cap:
         raise ResourceCapError(f"{total} lattice points exceed the cap {lattice_cap}")
-    rot: dict[int, dict[int, int]] = {p: {} for p in used.primes}
-
-    def rotated(p: int, h: int) -> int:
-        cache = rot[p]
-        r = h % p
-        if r not in cache:
-            cache[r] = masks[p].rotated(r)
-        return cache[r]
-
-    # The AND-and-popcount over cached rotations stays inline rather than
-    # calling primeimage.joint_count per prime: the call overhead per lattice
-    # point made the R_2-R_4 walks of the multiplicative benchmark workload
-    # 1.5-2.5x slower.
-    acc = 0
-    points = 0
-    excluded = 0
-    for hs in itertools.product(*ranges):
-        if any(h == 0 for h in hs) or len(set(hs)) != len(hs):
-            excluded += 1
-            continue
-        points += 1
-        prod = 1
-        for p in used.primes:
-            bits = masks[p].bits
-            for h in hs:
-                bits &= rotated(p, h)
-                if not bits:
-                    break
-            c = bits.bit_count()
-            if not c:
-                prod = 0
-                break
-            prod *= c
-        acc += prod
-    value = Fraction(acc, omega_q)
+    # The count at h is the product over p of N_p(h mod p), and along an axis
+    # the residues repeat with period p: each prime's table covers the first
+    # min(len, p) points of every axis and is gathered over the whole box.
+    # No point's product exceeds omega_q, so int64 sums exactly below 2^63.
+    dtype = np.int64 if omega_q * total < 2**63 else object
+    prod = np.ones(shape, dtype)
+    for p in used.primes:
+        heads = [r[:p] for r in ranges]
+        table = np.array([joint_count(masks[p], hs) for hs in itertools.product(*heads)], dtype)
+        table = table.reshape([len(r) for r in heads])
+        prod *= table[np.ix_(*(np.arange(n) % p for n in shape))]
+    grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))
+    drop = np.zeros(shape, bool)
+    for i, g in enumerate(grids):
+        drop |= g == 0
+        for g2 in grids[:i]:
+            drop |= g == g2
+    excluded = int(drop.sum())
+    prod[drop] = 0
+    value = Fraction(int(prod.sum()), omega_q)
     return CorrelationResult(
         value=value,
         volume=window.volume,
         deviation=value - window.volume,
         k=k,
         s_q=s_q,
-        lattice_points=points,
+        lattice_points=total - excluded,
         excluded=excluded,
         modulus_used=used,
     )

@@ -1,5 +1,6 @@
 """Spacing series, KS distance, correlation sums."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyimage import composite
-from polyimage.composite import enumerate_image, parse_modulus
+from polyimage.composite import enumerate_image, joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image
 from polyimage.polyarith import IntPoly, parse_poly
@@ -226,6 +227,70 @@ def test_correlation_k3_matches_oracle_small():
                 continue
             total += brute_joint_count(f, 105, [h1, h2])
     assert r.value == Fraction(total, 24)
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
+# lattice points times (image size + 20) per example, so the oracle loop stays small
+ORACLE_BUDGET = 100_000
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
+       primes=st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=6, unique=True),
+       k=st.sampled_from([2, 3, 4]), data=st.data())
+def test_correlation_matches_oracle(coeffs, primes, k, data):
+    f = IntPoly(tuple(coeffs))
+    q = math.prod(primes)
+    m = parse_modulus(sorted(primes))
+    image = brute_image(f, q)
+    n = len(image)
+    s_q = Fraction(q, n)
+    # both endpoints anywhere in [-2, 3]; the upper one is pulled in so that
+    # each axis holds at most per_axis + 1 integers
+    per_axis = max(1, int((ORACLE_BUDGET / (n + 20)) ** (1 / (k - 1))))
+    intervals = []
+    for _ in range(k - 1):
+        d = data.draw(st.integers(1, 30))
+        lo = data.draw(st.integers(-2 * d, 3 * d - 1))
+        hi = data.draw(st.integers(lo + 1, 3 * d))
+        a, b = Fraction(lo, d), Fraction(hi, d)
+        intervals.append((a, min(b, a + per_axis / s_q)))
+    window = CorrelationWindow.box(*intervals)
+    if n == q:
+        with pytest.raises(DegenerateInputError):
+            correlation(f, m, window)
+        return
+    r = correlation(f, m, window)
+    in_image = set(image)
+    axes = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in intervals]
+    direct = points = excluded = 0
+    for hs in itertools.product(*axes):
+        if 0 in hs or len(set(hs)) < len(hs):
+            excluded += 1
+            continue
+        points += 1
+        direct += sum(all((t + h) % q in in_image for h in hs) for t in image)
+    assert r.s_q == s_q
+    assert r.value * n == direct
+    assert (r.lattice_points, r.excluded) == (points, excluded)
+
+
+def test_correlation_python_int_path():
+    # omega_q far above 2^63 at the primes 3..199 forces exact Python-int sums;
+    # 105 stays on the int64 side
+    f = parse_poly("x^2")
+    big = parse_modulus([p for p in range(3, 200) if all(p % d for d in range(2, p))])
+    for m, k, half in ((big, 2, 1000), (big, 3, 20), (parse_modulus(105), 3, 30)):
+        omega = joint_count_composite(f, m, [])
+        s_q = Fraction(m.q, omega)
+        if m is big:
+            assert omega > 2**63
+        window = CorrelationWindow.box(*[(-half / s_q, half / s_q)] * (k - 1))
+        r = correlation(f, m, window)
+        box = itertools.product(range(-half, half + 1), repeat=k - 1)
+        admissible = [hs for hs in box if 0 not in hs and len(set(hs)) == len(hs)]
+        assert r.lattice_points == len(admissible)
+        assert r.value * omega == sum(joint_count_composite(f, m, hs) for hs in admissible)
 
 
 def test_correlation_degenerate():
