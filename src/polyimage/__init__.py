@@ -7,7 +7,6 @@ from .composite import (
     CompositeStats,
     SquareFreeModulus,
     composite_stats,
-    drop_permutation_primes,
     enumerate_image,
     joint_count_composite,
     parse_modulus,

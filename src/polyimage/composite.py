@@ -2,9 +2,10 @@
 
 A modulus is an ordered tuple of distinct primes with their product q.  Sizes
 and joint counts over q are products of the per-prime values, so they never
-require touching all q residues; the explicit length-q image bitmap is built
-only when spacing statistics ask for it, under a configurable memory cap, by
-tiling each prime's periodic bit pattern across a packed byte array.
+require touching all q residues.  Spacing statistics read the image itself,
+streamed in sorted chunks under a configurable cap on q: each chunk is the
+AND of every prime's periodic bit pattern over its window of Z/qZ, so no
+length-q object is ever built.
 
 Factorization of user-supplied q is best effort: trial division to 10^6, then
 Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
@@ -159,13 +160,6 @@ def composite_stats(f: IntPoly, modulus: SquareFreeModulus, workers: int = 1) ->
     return CompositeStats(modulus, size, s_q, q1, tuple(stats))
 
 
-def drop_permutation_primes(f: IntPoly, modulus: SquareFreeModulus) -> SquareFreeModulus:
-    """Sub-modulus of the primes where f is not a bijection; the others
-    contribute a full cylinder to every statistic and carry no information."""
-    kept = [p for p in modulus.primes if image_mask(f, p).count < p]
-    return SquareFreeModulus(tuple(kept), reduce(lambda a, b: a * b, kept, 1))
-
-
 def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> int:
     """Joint image count modulo q as the product of the per-prime counts,
     each offset reduced per prime."""
@@ -173,42 +167,39 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
     return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
 
 
-class EnumeratedImage:
-    """Packed length-q bitmap of the image of f modulo q, with sorted
-    iteration over the elements in chunks.  Bits at q and above are clear."""
-
-    def __init__(self, modulus: SquareFreeModulus, packed: np.ndarray, count: int):
-        self.modulus = modulus
-        self.q = modulus.q
-        self.packed = packed
-        self.count = count
-        packed.flags.writeable = False
-
-    def element_chunks(self):
-        """Sorted residues in the image, as int64 arrays covering at most
-        8 * _ELEMENT_CHUNK_BYTES consecutive residues each; empty ranges are
-        skipped."""
-        chunk = _ELEMENT_CHUNK_BYTES
-        for off in range(0, len(self.packed), chunk):
-            part = np.unpackbits(self.packed[off:off + chunk], bitorder="little")
-            idx = np.flatnonzero(part).astype(np.int64, copy=False)
-            if len(idx):
-                idx += off << 3
-                yield idx
-
-
 _ELEMENT_CHUNK_BYTES = 1 << 20
 
 
-def _tiled_pattern(mask: ImageMask, nbytes: int) -> np.ndarray:
-    """The p-periodic image indicator tiled into nbytes packed bytes."""
-    p = mask.p
-    pattern = np.frombuffer(mask.bits.to_bytes((p + 7) // 8, "little"), np.uint8)
-    bools = np.unpackbits(pattern, bitorder="little", count=p)
-    period_bits = np.lcm(8, p)
-    period = np.packbits(np.tile(bools, period_bits // p), bitorder="little")
-    reps = -(-nbytes // len(period))
-    return np.tile(period, reps)[:nbytes]
+def _pattern_tile(mask: ImageMask, nbytes: int) -> np.ndarray:
+    """The first nbytes packed bytes of the p-periodic image indicator,
+    built by doubling the mask's bits until they cover them."""
+    bits, length = mask.bits, mask.p
+    while length < 8 * nbytes:
+        bits |= bits << length
+        length *= 2
+    return np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), np.uint8)[:nbytes]
+
+
+def _element_chunks(masks: list[ImageMask], q: int):
+    nbytes = (q + 7) // 8
+    chunk = _ELEMENT_CHUNK_BYTES
+    # byte b of a prime's pattern repeats at b + L, L = p / gcd(8, p); a tile
+    # of L + chunk bytes holds every chunk-long window of the pattern
+    tiles = []
+    for mask in masks:
+        period = mask.p // math.gcd(8, mask.p)
+        tiles.append((period, _pattern_tile(mask, min(nbytes, period + chunk))))
+    for off in range(0, nbytes, chunk):
+        n = min(chunk, nbytes - off)
+        acc = np.full(n, 0xFF, np.uint8)
+        for period, tile in tiles:
+            start = off % period
+            acc &= tile[start:start + n]
+        bits = np.unpackbits(acc, bitorder="little", count=min(8 * n, q - 8 * off))
+        idx = np.flatnonzero(bits).astype(np.int64, copy=False)
+        if len(idx):
+            idx += off << 3
+            yield idx
 
 
 def enumerate_image(
@@ -216,22 +207,19 @@ def enumerate_image(
     modulus: SquareFreeModulus,
     cap_bits: int = DEFAULT_CAP_BITS,
     workers: int = 1,
-) -> EnumeratedImage:
-    """Explicit image bitmap modulo q: bit t is set iff t mod p lands in the
-    image for every p | q.  Refuses moduli beyond cap_bits; correlation-style
-    statistics stay available through the multiplicative path."""
+):
+    """Sorted residues of the image of f modulo q (t with t mod p in the
+    image for every p | q), as an iterator of int64 arrays covering at most
+    8 * _ELEMENT_CHUNK_BYTES consecutive residues each; empty ranges are
+    skipped.  Each chunk is the AND of the per-prime patterns over its
+    window, so nothing of length q is held.  Refuses moduli beyond cap_bits
+    at the call; correlation-style statistics stay available through the
+    multiplicative path."""
     q = modulus.q
     if q > cap_bits:
         raise ResourceCapError(
             f"q={q} exceeds the {cap_bits}-bit enumeration cap; "
             "use the multiplicative correlation workflow instead"
         )
-    nbytes = (q + 7) // 8
     masks = pmap(partial(image_mask, f), modulus.primes, workers)
-    acc = np.full(nbytes, 0xFF, np.uint8)
-    for mask in masks:
-        acc &= _tiled_pattern(mask, nbytes)
-    if q & 7:
-        acc[-1] &= (1 << (q & 7)) - 1
-    count = int(np.bitwise_count(acc).sum())
-    return EnumeratedImage(modulus, acc, count)
+    return _element_chunks(masks, q)

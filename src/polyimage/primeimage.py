@@ -34,9 +34,6 @@ class ImageMask:
     bits: int
     count: int
 
-    def elements(self) -> list[int]:
-        return [t for t in range(self.p) if self.bits >> t & 1]
-
     def rotated(self, h: int) -> int:
         """Bitset of {t : t + h in image}, cyclically."""
         h %= self.p

@@ -4,10 +4,11 @@ Gaps between consecutive image elements modulo q (including the wraparound
 gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
-sum of products of neighbouring gaps -- which is filled in one streamed pass
-over the image, so no per-gap array is ever held.  Everything stays
-rational until a statistic is inherently real-valued: the KS distance and
-histogram columns convert single gap values to floats at the last step.
+sum of products of neighbouring gaps -- which is filled in one pass over the
+image as composite.enumerate_image streams it, so neither a per-gap array
+nor a length-q bitmap is ever held.  Everything stays rational until a
+statistic is inherently real-valued: the KS distance and histogram columns
+convert single gap values to floats at the last step.
 
 The correlation sum runs over the integer points of the dilated window,
 drops the points on the excluded hyperplanes (equal coordinates, zero
@@ -29,7 +30,7 @@ import numpy as np
 
 from .composite import (
     SquareFreeModulus,
-    drop_permutation_primes,
+    composite_stats,
     enumerate_image,
     DEFAULT_CAP_BITS,
 )
@@ -62,19 +63,17 @@ def spacing_series(
     cap_bits: int = DEFAULT_CAP_BITS,
     workers: int = 1,
 ) -> SpacingSeries:
-    """Gap table of f modulo q, streamed from the image bitmap chunk by
-    chunk.  Refuses degenerate moduli where the mean spacing is 1 (nothing
-    to normalize)."""
-    reduced = drop_permutation_primes(f, modulus)
-    if not reduced.primes:
+    """Gap table of f modulo q, streamed from the image chunk by chunk.
+    Refuses degenerate moduli where the mean spacing is 1 (nothing to
+    normalize)."""
+    if composite_stats(f, modulus).s_q == 1:
         raise DegenerateInputError("degenerate: mean spacing 1")
-    enum = enumerate_image(f, modulus, cap_bits=cap_bits, workers=workers)
-    if enum.count < 2:
-        raise DegenerateInputError("image has fewer than two elements")
+    chunks = enumerate_image(f, modulus, cap_bits=cap_bits, workers=workers)
     tables = []
-    lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
+    count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
     first = last = head = None
-    for els in enum.element_chunks():
+    for els in chunks:
+        count += len(els)
         if last is None:
             first, gaps = int(els[0]), np.diff(els)
         else:
@@ -87,13 +86,15 @@ def spacing_series(
             lag_sum += prev * int(gaps[0]) + int(np.dot(gaps[:-1], gaps[1:]))
             prev = int(gaps[-1])
             tables.append(np.unique(gaps, return_counts=True))
+    if count < 2:
+        raise DegenerateInputError("image has fewer than two elements")
     wrap = first + modulus.q - last
     lag_sum += prev * wrap + wrap * head
     tables.append(([wrap], [1]))
     values, where = np.unique(np.concatenate([v for v, _ in tables]), return_inverse=True)
     counts = np.zeros(len(values), np.int64)
     np.add.at(counts, where, np.concatenate([c for _, c in tables]))
-    return SpacingSeries(modulus, enum.count, values, counts, lag_sum)
+    return SpacingSeries(modulus, count, values, counts, lag_sum)
 
 
 def gap_frequency(series: SpacingSeries, h: int) -> Fraction:
@@ -225,16 +226,14 @@ def correlation(
     """The k-level correlation of the image of f modulo q over the window:
     the sum of joint counts over integer points of the mean-spacing-dilated
     box, normalized by the image size.  Exact rational output."""
-    used = drop_permutation_primes(f, modulus) if reduce_permutations else modulus
-    k = window.dimension + 1
-    masks = {p: image_mask(f, p) for p in used.primes}
-    omega_q = 1
-    s_q = Fraction(1)
-    for p in used.primes:
-        omega_q *= masks[p].count
-        s_q *= Fraction(p, masks[p].count)
+    stats = composite_stats(f, modulus)
+    s_q = stats.s_q
     if s_q == 1:  # every prime a permutation prime
         raise DegenerateInputError("degenerate: mean spacing 1")
+    # a permutation prime has omega_p = p and s_p = 1
+    used = stats.q1_reduced if reduce_permutations else modulus
+    omega_q = stats.omega_q_size * used.q // modulus.q
+    k = window.dimension + 1
     ranges = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in window.intervals]
     shape = tuple(len(r) for r in ranges)
     total = math.prod(shape)
@@ -248,7 +247,8 @@ def correlation(
     prod = np.ones(shape, dtype)
     for p in used.primes:
         heads = [r[:p] for r in ranges]
-        table = np.array([joint_count(masks[p], hs) for hs in itertools.product(*heads)], dtype)
+        mask = image_mask(f, p)
+        table = np.array([joint_count(mask, hs) for hs in itertools.product(*heads)], dtype)
         table = table.reshape([len(r) for r in heads])
         prod *= table[np.ix_(*(np.arange(n) % p for n in shape))]
     grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))

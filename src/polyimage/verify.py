@@ -120,10 +120,10 @@ def check_square_count() -> CheckResult:
         expected = 1
         for p in m.primes:
             expected *= (p + 1) // 2
-        enum = enumerate_image(f, m)
+        count = sum(len(chunk) for chunk in enumerate_image(f, m))
         product = composite_stats(f, m).omega_q_size
-        details[f"q{qv}"] = f"{enum.count} (expect {expected})"
-        ok = ok and enum.count == expected == product
+        details[f"q{qv}"] = f"{count} (expect {expected})"
+        ok = ok and count == expected == product
     return CheckResult("square-count", ok, details)
 
 

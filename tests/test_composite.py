@@ -1,14 +1,14 @@
 """Square-free moduli: factorization, CRT products, enumeration."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from polyimage import composite
 from polyimage.composite import (
     composite_stats,
-    drop_permutation_primes,
     enumerate_image,
     is_probable_prime,
     joint_count_composite,
@@ -17,12 +17,13 @@ from polyimage.composite import (
 from polyimage.errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
 from polyimage.polyarith import parse_poly
+from polyimage.primeimage import image_mask
 
 CORPUS = [parse_poly(t) for t in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2")]
 
 
-def elements(e):
-    return [int(t) for chunk in e.element_chunks() for t in chunk]
+def elements(chunks):
+    return [int(t) for chunk in chunks for t in chunk]
 
 
 def test_parse_modulus_examples():
@@ -84,44 +85,61 @@ def test_multiplicativity_matches_oracle():
 
 
 def test_reduce_examples():
-    assert drop_permutation_primes(parse_poly("x^3"), parse_modulus(105)).primes == (7,)
-    assert drop_permutation_primes(parse_poly("x^2"), parse_modulus(105)).primes == (3, 5, 7)
-    reduced = drop_permutation_primes(parse_poly("x"), parse_modulus(105))
+    assert composite_stats(parse_poly("x^3"), parse_modulus(105)).q1_reduced.primes == (7,)
+    assert composite_stats(parse_poly("x^2"), parse_modulus(105)).q1_reduced.primes == (3, 5, 7)
+    reduced = composite_stats(parse_poly("x"), parse_modulus(105)).q1_reduced
     assert reduced.primes == () and reduced.q == 1
 
 
 def test_enumerate_image_examples():
     f = parse_poly("x^2")
-    e = enumerate_image(f, parse_modulus(105))
-    assert e.count == 24
-    e = enumerate_image(parse_poly("x"), parse_modulus(15))
-    assert e.count == 15 and elements(e) == list(range(15))
+    assert len(elements(enumerate_image(f, parse_modulus(105)))) == 24
+    assert elements(enumerate_image(parse_poly("x"), parse_modulus(15))) == list(range(15))
 
 
 def test_enumerate_eight_prime_modulus():
     m = parse_modulus([3, 5, 7, 11, 13, 17, 19, 23])
-    e = enumerate_image(parse_poly("x^2"), m)
+    count = sum(len(c) for c in enumerate_image(parse_poly("x^2"), m))
     expected = 1
     for p in m.primes:
         expected *= (p + 1) // 2
-    assert e.count == expected == 1088640
+    assert count == expected == 1088640
 
 
 def test_enumerate_cap():
+    # refused at the call, before any chunk is asked for
     with pytest.raises(ResourceCapError):
         enumerate_image(parse_poly("x^2"), parse_modulus(105), cap_bits=64)
 
 
-def test_enumerate_matches_oracle_bit_for_bit():
-    for f in CORPUS:
-        for qv in (15, 21, 105, 1155):
-            m = parse_modulus(qv)
-            e = enumerate_image(f, m)
-            want = brute_image(f, qv)
-            assert elements(e) == want, (f, qv)
-            assert e.count == len(want)
-            bits = np.unpackbits(e.packed, bitorder="little")  # padding past q too
-            assert list(np.flatnonzero(bits)) == want
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 3])
+def test_enumerate_matches_oracle_bit_for_bit(chunk_bytes):
+    # chunks of 1 and 3 bytes start at every phase of each prime's byte
+    # period; no modulus here is a multiple of 8, so the last byte is partial
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_bytes is not None:
+            mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", chunk_bytes)
+        for f in CORPUS:
+            for qv in (15, 21, 30, 105, 770, 1155):
+                want = brute_image(f, qv)
+                assert elements(enumerate_image(f, parse_modulus(qv))) == want, (f, qv)
+
+
+def test_enumerate_holds_nothing_of_length_q():
+    f = parse_poly("x^2")
+    m = parse_modulus(9699690)  # 2 * 3 * ... * 19
+    for p in m.primes:
+        image_mask(f, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", 4096)
+        tracemalloc.start()
+        try:
+            count = sum(len(c) for c in enumerate_image(f, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert count == composite_stats(f, m).omega_q_size
+    assert peak < m.q // 32, peak  # a quarter of the q/8-byte bitmap
 
 
 def test_enumerate_popcount_is_product():
@@ -129,15 +147,14 @@ def test_enumerate_popcount_is_product():
         for qv in (15, 105, 1155, 15015):
             m = parse_modulus(qv)
             st = composite_stats(f, m)
-            assert enumerate_image(f, m).count == st.omega_q_size
+            assert len(elements(enumerate_image(f, m))) == st.omega_q_size
 
 
 def test_s_q_is_product_of_per_prime_spacings():
     for f in CORPUS:
         m = parse_modulus(1155)
         st = composite_stats(f, m)
-        e = enumerate_image(f, m)
-        assert st.s_q == Fraction(m.q, e.count)
+        assert st.s_q == Fraction(m.q, len(elements(enumerate_image(f, m))))
 
 
 def test_composite_stats_reduction_field():
@@ -149,7 +166,6 @@ def test_composite_stats_reduction_field():
 def test_parallel_workers_match_sequential():
     f = parse_poly("x^2")
     m = parse_modulus(1155)
-    seq = enumerate_image(f, m, workers=1)
-    par = enumerate_image(f, m, workers=2)
-    assert seq.count == par.count
-    assert bytes(seq.packed) == bytes(par.packed)
+    seq = elements(enumerate_image(f, m, workers=1))
+    par = elements(enumerate_image(f, m, workers=2))
+    assert seq == par == brute_image(f, m.q)
