@@ -245,15 +245,18 @@ def _histogram_rows(hist) -> list[dict]:
 
 
 def _write_out(cfg: RunConfig, rows: list[dict], result: dict) -> None:
-    if cfg.format == "csv":
-        with open(cfg.out, "w", newline="") as fh:
+    try:
+        fh = open(cfg.out, "w", newline="")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
+    with fh:
+        if cfg.format == "csv":
             writer = csv.DictWriter(
                 fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
             )
             writer.writeheader()
             writer.writerows(rows)
-    else:
-        with open(cfg.out, "w") as fh:
+        else:
             json.dump({"histogram": rows, "summary": result}, fh, sort_keys=True)
 
 

@@ -117,10 +117,6 @@ class SquareFreeModulus:
             raise NotSquareFreeError(f"repeated prime in {ps}")
         return cls(tuple(ps), reduce(lambda a, b: a * b, ps, 1))
 
-    @property
-    def omega(self) -> int:
-        return len(self.primes)
-
 
 def parse_modulus(spec) -> SquareFreeModulus:
     """Validated square-free modulus from an integer or an explicit prime list."""

@@ -2,14 +2,14 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the ring operations
-this module provides resultants (fraction-free subresultant PRS over Z,
-Euclidean over F_p), roots over F_p, the critical-value polynomial of a map
-x -> f(x), and the obstruction sets of critical-value differences: the
-integer differences and, per prime, the residues h for which two critical
-values collide after a shift by h, both read off the roots of one
-difference resultant.  Offsets whose pairwise differences avoid the mod-p
-obstruction set are exactly the ones where joint image counts follow the
-independence model.
+this module provides resultants (Euclid over F_p; over Z the same F_p
+computation at enough primes below 2^62, combined by Chinese remaindering),
+roots over F_p, the critical-value polynomial of a map x -> f(x), and the
+obstruction sets of critical-value differences: the integer differences and,
+per prime, the residues h for which two critical values collide after a
+shift by h, both read off the F_p-roots of one difference resultant.
+Offsets whose pairwise differences avoid the mod-p obstruction set are
+exactly the ones where joint image counts follow the independence model.
 
 Everything here is pure and exact; nothing touches floating point.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import DegenerateInputError, InvalidInputError, WildModulusError
@@ -68,12 +68,6 @@ class IntPoly:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def evaluate_mod(self, x: int, m: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % m
         return acc
 
     def derivative(self) -> "IntPoly":
@@ -382,60 +376,42 @@ def is_probable_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # resultants
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder over Z: lc(b)^(deg a - deg b + 1) * a mod b."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    e = da - db + 1
-    while len(r) - 1 >= db and r:
-        lead = r[-1]
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[len(r) - 1 - db + i] -= lead * b[i]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        e -= 1
-    return [c * lb**e for c in r] if e > 0 else r
+@lru_cache(maxsize=None)
+def _prime_below(n: int) -> int:
+    """The largest prime below n; cached, as _lift walks the same primes down
+    from 2^62 on every call."""
+    n -= 1
+    while not is_probable_prime(n):
+        n -= 1
+    return n
+
+
+def _lift(at_prime, bound: int, avoid: int) -> list[int]:
+    """Integers of absolute value at most `bound` from their residues
+    at_prime(p) mod primes p below 2^62 that do not divide `avoid` (Collins'
+    modular resultant algorithm, J. ACM 1971).  at_prime(p) gives one residue
+    per integer; a missing trailing residue stands for 0.  Residues are
+    combined by CRT until the product M of the primes exceeds 2 * bound, then
+    lifted into (-M/2, M/2)."""
+    values: list[int] = []
+    modulus, p = 1, 2**62
+    while modulus <= 2 * bound:
+        p = _prime_below(p)
+        if avoid % p == 0:
+            continue
+        inv = pow(modulus, -1, p)
+        values = [v + modulus * ((r - v) * inv % p)
+                  for v, r in zip_longest(values, at_prime(p), fillvalue=0)]
+        modulus *= p
+    return [v - modulus if 2 * v > modulus else v for v in values]
 
 
 def int_resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) over Z via the fraction-free subresultant PRS."""
+    """Res(a, b) over Z: resultant_x of a and the y-free b, so fp_resultant
+    at large primes lifted by CRT."""
     if a.is_zero or b.is_zero:
         return 0
-    if a.degree == 0 and b.degree == 0:
-        return 1
-    if a.degree == 0:
-        return a.coeffs[0] ** b.degree
-    if b.degree == 0:
-        return b.coeffs[0] ** a.degree
-    sign = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign = -sign
-        a, b = b, a
-    ca, cb = abs(a.content()), abs(b.content())
-    scale = ca**b.degree * cb**a.degree
-    A = [c // ca for c in a.coeffs]
-    B = [c // cb for c in b.coeffs]
-    g = h = 1
-    while True:
-        da, db = len(A) - 1, len(B) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        R = _prem(A, B)
-        if not R:
-            return 0
-        A = B
-        denom = g * h**delta
-        B = [c // denom for c in R]
-        g = A[-1]
-        h = g**delta // h ** (delta - 1) if delta else h
-        if len(B) - 1 == 0:
-            break
-    return sign * scale * (B[0] ** (len(A) - 1) // h ** (len(A) - 2))
+    return resultant_x(a, [b]).evaluate(0)
 
 
 def fp_resultant(a: FpPoly, b: FpPoly) -> int:
@@ -461,31 +437,6 @@ def fp_resultant(a: FpPoly, b: FpPoly) -> int:
     return res * pow(b.coeffs[0], a.degree, p) % p
 
 
-def _interp_int(points: list[tuple[int, int]]) -> IntPoly:
-    # Lagrange over Q; the result is known to have integer coefficients.
-    n = len(points)
-    out = [Fraction(0)] * n
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= basis[k + 1] * xj
-            denom *= xi - xj
-        w = yi / denom
-        for k in range(len(basis)):
-            out[k] += w * basis[k]
-    ints = []
-    for c in out:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolated resultant is not integral")
-        ints.append(c.numerator)
-    return IntPoly(_trim(ints))
-
-
 def _interp_fp(p: int, points: list[tuple[int, int]]) -> FpPoly:
     out = [0] * len(points)
     for i, (xi, yi) in enumerate(points):
@@ -509,8 +460,9 @@ def resultant_x(a, b):
 
     With b a plain polynomial the scalar Res_x(a, b) is returned.  With b a
     sequence of polynomials in x (the coefficients of powers of a second
-    variable y) the resultant is a polynomial in y, computed by evaluating y
-    at enough nodes and interpolating exactly.
+    variable y) the resultant is a polynomial in y: over F_p by evaluating y
+    at enough nodes and interpolating, over Z by lifting that F_p result from
+    large primes.
     """
     if isinstance(b, (IntPoly, FpPoly)):
         if isinstance(a, FpPoly):
@@ -521,49 +473,42 @@ def resultant_x(a, b):
         raise InvalidInputError("resultant with zero polynomial")
     dx = max(c.degree for c in coeffs_y if not c.is_zero)
     lead_y = [(j, c.coeffs[dx]) for j, c in enumerate(coeffs_y) if c.degree == dx]
+
+    if isinstance(a, IntPoly):
+        # Primes not dividing lc(a) or one x^dx coefficient keep every degree
+        # mod p.  Each coefficient is bounded by Hadamard's bound on the
+        # Sylvester rows, an entry (a polynomial in y) counted by the sum of
+        # its |coefficients| (Goldstein-Graham, SIAM Review 1974).
+        col = [sum(abs(c.coeffs[i]) for c in coeffs_y if i <= c.degree) for i in range(dx + 1)]
+        bound = math.isqrt(sum(v * v for v in a.coeffs) ** dx
+                           * sum(v * v for v in col) ** a.degree) + 1
+        return IntPoly.from_coeffs(_lift(
+            lambda p: resultant_x(FpPoly.from_int_poly(a, p),
+                                  [FpPoly.from_int_poly(c, p) for c in coeffs_y]).coeffs,
+            bound, a.leading * lead_y[0][1]))
+
+    p = a.p
     deg_bound = a.degree * (len(coeffs_y) - 1)
 
-    if isinstance(a, FpPoly):
-        p = a.p
-
-        def at_fp(y0: int) -> FpPoly:
-            out = [0] * (dx + 1)
-            for j, c in enumerate(coeffs_y):
-                w = pow(y0, j, p)
-                for i, v in enumerate(c.coeffs):
-                    out[i] = (out[i] + v * w) % p
-            return FpPoly(p, _trim(out))
-
-        points = []
-        for y0 in range(p):
-            if len(points) == deg_bound + 1:
-                break
-            if sum(c * pow(y0, j, p) for j, c in lead_y) % p:
-                points.append((y0, fp_resultant(a, at_fp(y0))))
-        if len(points) < deg_bound + 1:
-            raise WildModulusError(
-                f"p={p} leaves too few interpolation nodes for the resultant"
-            )
-        return _interp_fp(p, points)
-
-    def at_int(y0: int) -> IntPoly:
+    def at_fp(y0: int) -> FpPoly:
         out = [0] * (dx + 1)
         for j, c in enumerate(coeffs_y):
-            w = y0**j
+            w = pow(y0, j, p)
             for i, v in enumerate(c.coeffs):
-                out[i] += v * w
-        return IntPoly(_trim(out))
+                out[i] = (out[i] + v * w) % p
+        return FpPoly(p, _trim(out))
 
     points = []
-    y0 = 0
-    while len(points) < deg_bound + 1:
-        for cand in (y0, -y0) if y0 else (0,):
-            if len(points) == deg_bound + 1:
-                break
-            if sum(c * cand**j for j, c in lead_y):
-                points.append((cand, int_resultant(a, at_int(cand))))
-        y0 += 1
-    return _interp_int(points)
+    for y0 in range(p):
+        if len(points) == deg_bound + 1:
+            break
+        if sum(c * pow(y0, j, p) for j, c in lead_y) % p:
+            points.append((y0, fp_resultant(a, at_fp(y0))))
+    if len(points) < deg_bound + 1:
+        raise WildModulusError(
+            f"p={p} leaves too few interpolation nodes for the resultant"
+        )
+    return _interp_fp(p, points)
 
 
 # ---------------------------------------------------------------------------
@@ -632,23 +577,25 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     """Integers r that occur as a difference of two critical values of f,
     i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
 
-    These are the integer roots of R = difference_resultant(C).  Each root is
-    a difference of two roots of C, so |r| <= B = 2 * (1 + ceil(max|c_i| /
-    |lc C|)) by Cauchy's bound; the roots of R mod a prime P > 2B with
-    P not dividing lc(R), lifted to (-P/2, P/2), contain them all, and the
-    ones with R(r) = 0 exactly are kept.  P is chosen by is_probable_prime,
-    which is deterministic below 2^64.
+    These are the integer roots of R = difference_resultant(C), of degree
+    m^2 (m = deg C).  Each root is a difference of two roots of C, so
+    |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|)) by Cauchy's bound.  Mod the
+    first prime P > max(2B, m^2) not dividing lc(C), R reduces to
+    difference_resultant(C mod P); its roots, lifted to (-P/2, P/2), contain
+    every integer root, and the ones with Res(C(y), C(y + r)) = 0 exactly,
+    which is R(r) = 0, are kept.  P is chosen by is_probable_prime, which is
+    deterministic below 2^64.
     """
     c = critical_value_poly(f)
-    r = difference_resultant(c)
     ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
     bound = 2 * (1 + ratio)
-    prime = 2 * bound + 1
-    while not is_probable_prime(prime) or r.leading % prime == 0:
+    prime = max(2 * bound, c.degree**2) + 1
+    while not is_probable_prime(prime) or c.leading % prime == 0:
         prime += 1
     lifted = (h if 2 * h < prime else h - prime
-              for h in fp_roots(FpPoly.from_int_poly(r, prime)))
-    return ObstructionSet("infinity", None, tuple(sorted(h for h in lifted if r.evaluate(h) == 0)))
+              for h in fp_roots(difference_resultant(FpPoly.from_int_poly(c, prime))))
+    return ObstructionSet("infinity", None, tuple(
+        sorted(h for h in lifted if int_resultant(c, c.shifted(h)) == 0)))
 
 
 def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
@@ -666,6 +613,8 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
         c = critical_value_poly(f, p)
     except WildModulusError:
         fbar = FpPoly.from_int_poly(f, p)
+        if fbar.degree < 1:  # constant mod p: one value, whose only difference is 0
+            return ObstructionSet("mod", p, (0,), approximate=True)
         dbar = fbar.derivative()
         values = {fbar.evaluate(x) for x in range(p)
                   if dbar.is_zero or dbar.evaluate(x) == 0}

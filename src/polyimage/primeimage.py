@@ -13,6 +13,7 @@ only in the reported deviation columns of anomaly scans.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,6 +148,8 @@ def anomaly_scan(f: IntPoly, p: int, obstructions: ObstructionSet,
     Exact comparison; only the reported deviation column is a float."""
     if p < 5:
         raise InvalidInputError("anomaly scan needs p >= 5")
+    if not math.isfinite(threshold) or threshold < 0:
+        raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
     mask = image_mask(f, p)
     w2 = mask.count * mask.count
     # |count - omega^2/p| > c*sqrt(p)  <=>  (p*count - omega^2)^2 > c^2 * p^3

@@ -70,6 +70,14 @@ def test_spacings_csv_out(capsys, tmp_path):
     assert r["gap_frequencies"]["1"]["ratio"] == "1/6"
 
 
+def test_spacings_unwritable_out_is_invalid_input(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "hist.csv"
+    code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
+                         "--out", str(out_path))
+    assert code == 2 and not out
+    assert err.startswith(f"error: cannot write --out {out_path}")
+
+
 def test_spacings_resource_cap_exit(capsys):
     code, _, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
                        "--cap-bits", "16")
@@ -122,12 +130,16 @@ def test_internal_error_exit(capsys, monkeypatch):
     assert err.strip() == "internal error: RuntimeError: boom"
 
 
+def _subprocess_env() -> dict:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_closed_stdout_is_not_an_error():
     # stdout is a pipe whose read end is already closed
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     env.pop("PYTHONUNBUFFERED", None)  # the report sits in the buffer until the flush
     try:
         proc = subprocess.run(
@@ -139,6 +151,20 @@ def test_closed_stdout_is_not_an_error():
     assert proc.returncode == 0
     assert "internal error" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
+
+
+def test_critical_constant_mod_large_prime_returns_at_once():
+    # f is constant mod p = 2^61 - 1, so no residue is a critical point to scan;
+    # a subprocess, so that a scan over all p residues fails by timeout
+    p = 2**61 - 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyimage.cli", "critical", "--poly", f"{p}x^2+5",
+         "--prime", str(p)],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(proc.stdout)["result"]["critical_diffs_mod_p"]
+    assert entry == {"p": p, "elements": [0], "approximate": True, "critical_poly_coeffs": None}
 
 
 def test_critical_degenerate(capsys):
@@ -193,3 +219,11 @@ def test_reports_byte_identical_across_workers(capsys):
     assert r1 == r2
     # spot-check the raw result payloads byte for byte
     assert out1.split('"result"')[1] == out2.split('"result"')[1]
+
+
+def test_verify_anomaly_rejects_bad_threshold(capsys):
+    for bad in ("nan", "inf", "-inf", "-1"):
+        code, out, err = run(capsys, "verify", "anomaly", "--poly", "x^2", "--prime", "10007",
+                             f"--threshold={bad}")
+        assert code == 2 and not out, bad
+        assert err.startswith("error: threshold must be finite"), (bad, err)

@@ -178,6 +178,42 @@ def test_int_resultant_matches_sylvester():
         assert int_resultant(a, b) == _sylvester_det(a, b), (a.coeffs, b.coeffs)
 
 
+_BIG = 10**40
+
+
+def _big_poly(low, lead):
+    # a nonzero leading coefficient of 40 digits keeps each bound above 2^250,
+    # so every resultant below is combined from at least four 62-bit primes
+    return IntPoly.from_coeffs(low + [lead])
+
+
+_big_lead = st.integers(_BIG // 10, _BIG).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a_low=st.lists(st.integers(-_BIG, _BIG), min_size=1, max_size=5), a_lead=_big_lead,
+       b_low=st.lists(st.integers(-_BIG, _BIG), min_size=1, max_size=5), b_lead=_big_lead)
+def test_int_resultant_multi_prime_matches_sylvester(a_low, a_lead, b_low, b_lead):
+    a, b = _big_poly(a_low, a_lead), _big_poly(b_low, b_lead)
+    assert int_resultant(a, b) == _sylvester_det(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(low=st.lists(st.integers(-_BIG, _BIG), min_size=2, max_size=5), lead=_big_lead)
+def test_critical_value_poly_multi_prime_matches_sylvester(low, lead):
+    # Res_x(f'(x), y - f(x)) has degree < deg f in y, so deg f nodes fix it;
+    # C is that resultant divided by its content, sign making lc(C) > 0
+    f = _big_poly(low, lead)
+    c = critical_value_poly(f)
+    assert c.content() == 1 and c.leading > 0
+    nodes = range(-1, f.degree - 1)
+    dets = [_sylvester_det(f.derivative(), IntPoly.of(y0) - f) for y0 in nodes]
+    values = [c.evaluate(y0) for y0 in nodes]
+    i = next(i for i, v in enumerate(values) if v)
+    k, rest = divmod(dets[i], values[i])
+    assert rest == 0 and all(d == k * v for d, v in zip(dets, values))
+
+
 def test_fp_resultant_matches_reduction():
     rng = random.Random(19)
     for _ in range(300):
