@@ -6,9 +6,14 @@ Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
 which is what makes prime-by-prime scans cheap.  This module owns that
 counting: joint_count at explicit offsets and pair_counts over every shift.
+The pair counts over every shift are the cyclic autocorrelation of the image
+indicator, taken by one zero-padded real FFT in O(p log p) and rounded under
+an exactness guard (Kurlberg-Rudnick's pair-correlation object, Duke Math. J.
+1999).
 
-All statistics stay exact: sizes are ints, ratios Fractions.  Floats appear
-only in the reported deviation columns of anomaly scans.
+All statistics stay exact: sizes are ints, ratios Fractions, and the FFT
+counts are checked integers.  Floats appear only in the reported deviation
+columns of anomaly scans.
 """
 
 from __future__ import annotations
@@ -20,11 +25,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly, ObstructionSet
 
 MAX_PRIME = 1 << 31
 _CHUNK = 1 << 20
+# Largest transform pair_counts takes: n = 2^24 serves every p < 2^23.  numpy's
+# rfft holds about 24 * n bytes (padded float64 input, its working copy and
+# the spectrum), so the peak is about 32 * n bytes: 550 MB and 4 s as a
+# process at p = 8388593.
+MAX_PAIR_TRANSFORM = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,61 @@ def joint_count(mask: ImageMask, offsets) -> int:
     return acc.bit_count()
 
 
-def pair_counts(mask: ImageMask) -> list[int]:
-    """The pair counts N_2(h, p) for every shift: entry h is the number of
-    image elements t with t + h in the image, for h = 0, ..., p-1.
+def _pair_transform_length(p: int) -> int:
+    """The power of two n >= 2p - 1 that pair_counts transforms at; raises
+    ResourceCapError past MAX_PAIR_TRANSFORM."""
+    n = 1 << (2 * p - 2).bit_length()
+    if n > MAX_PAIR_TRANSFORM:
+        raise ResourceCapError(
+            f"pair counts at p={p} need a length-{n} transform, about {32 * n} bytes; "
+            f"the cap is length {MAX_PAIR_TRANSFORM} (p < {MAX_PAIR_TRANSFORM // 2})")
+    return n
 
-    N_2(h, p) = N_2(p - h, p) (substitute t -> t - h), so only the shifts up
-    to p/2 are counted.  The cyclic shift needs no mask to p bits here: the
-    AND with the p-bit image drops everything above bit p-1."""
+
+def pair_counts(mask: ImageMask) -> np.ndarray:
+    """The pair counts N_2(h, p) for every shift, as an int64 array: entry h
+    is the number of image elements t with t + h in the image, h = 0..p-1.
+
+    The indicator x of the image is zero-padded to n >= 2p - 1, so the
+    inverse transform of |rfft(x)|^2 holds every linear lag without wrap;
+    the cyclic count at h is lag h plus lag h - p, found at n - p + h.  The
+    rounded result is kept only if it passes the exactness guard (every
+    value within 1/4 of an integer, N(0) = omega, sum N = omega^2 and
+    N(h) = N(p - h)); otherwise the counts are redone by _pair_counts_bigint.
+    Raises ResourceCapError when n would exceed MAX_PAIR_TRANSFORM."""
+    p, w = mask.p, mask.count
+    n = _pair_transform_length(p)
+    ind = np.unpackbits(np.frombuffer(mask.bits.to_bytes((p + 7) // 8, "little"), np.uint8),
+                        count=p, bitorder="little")
+    spec = np.fft.rfft(ind, n)
+    np.absolute(spec, out=spec)  # |X|^2 in place, no complex temporary
+    spec *= spec
+    raw = np.fft.irfft(spec, n)
+    del spec
+    folded = raw[:p]
+    folded += raw[n - p:]
+    counts = np.rint(folded)
+    folded -= counts
+    exact = np.abs(folded, out=folded).max() < 0.25
+    del raw, folded
+    counts = counts.astype(np.int64)
+    if (exact and counts[0] == w and int(counts.sum()) == w * w
+            and np.array_equal(counts[1:], counts[:0:-1])):
+        return counts
+    return _pair_counts_bigint(mask)
+
+
+def _pair_counts_bigint(mask: ImageMask) -> np.ndarray:
+    """pair_counts by p/2 bigint AND/popcounts, O(p^2/64); the fallback when
+    the FFT result fails its guard.  N_2(h, p) = N_2(p - h, p) (substitute
+    t -> t - h), so only the shifts up to p/2 are counted.  The cyclic shift
+    needs no mask to p bits here: the AND with the p-bit image drops
+    everything above bit p-1."""
     p, bits = mask.p, mask.bits
     counts = [mask.count] * p
     for h in range(1, p // 2 + 1):
         counts[h] = counts[p - h] = (bits & (bits >> h | bits << (p - h))).bit_count()
-    return counts
+    return np.array(counts, dtype=np.int64)
 
 
 def expected_joint_count(p: int, mean_gap: Fraction, k: int) -> Fraction:
@@ -150,18 +203,20 @@ def anomaly_scan(f: IntPoly, p: int, obstructions: ObstructionSet,
         raise InvalidInputError("anomaly scan needs p >= 5")
     if not math.isfinite(threshold) or threshold < 0:
         raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
+    _pair_transform_length(p)
     mask = image_mask(f, p)
     w2 = mask.count * mask.count
-    # |count - omega^2/p| > c*sqrt(p)  <=>  (p*count - omega^2)^2 > c^2 * p^3
+    # |count - omega^2/p| > c*sqrt(p)  <=>  d^2 > c^2 * p^3 with the integer
+    # d = p*count - omega^2  <=>  |d| > isqrt(floor(c^2 * p^3)).  |d| <= p^2,
+    # so the bound is clipped there and everything stays in int64.
     rhs = Fraction(threshold) ** 2 * p**3
+    bound = min(math.isqrt(rhs.numerator // rhs.denominator), p * p)
     counts = pair_counts(mask)
-    out = []
-    for h in range(1, p):
-        n = counts[h]
-        d = p * n - w2
-        if d * d * rhs.denominator > rhs.numerator:
-            out.append(Anomaly(h, n, d / p**1.5, h in obstructions))
-    return out
+    dev = p * counts[1:]
+    dev -= w2
+    flagged = np.flatnonzero(np.abs(dev, out=dev) > bound) + 1
+    return [Anomaly(h, n, (p * n - w2) / p**1.5, h in obstructions)
+            for h, n in zip(flagged.tolist(), counts[flagged].tolist())]
 
 
 def max_pair_correlation(f: IntPoly, primes) -> Fraction:
@@ -173,7 +228,7 @@ def max_pair_correlation(f: IntPoly, primes) -> Fraction:
         mask = image_mask(f, p)
         if mask.count == p:
             continue
-        r = Fraction(max(pair_counts(mask)[1:]), mask.count)
+        r = Fraction(int(pair_counts(mask)[1:].max()), mask.count)
         if best is None or r > best:
             best = r
     if best is None:

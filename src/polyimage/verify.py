@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from .composite import (
     composite_stats,
     enumerate_image,
@@ -154,7 +156,7 @@ def check_zero_average() -> CheckResult:
         for p in primes_upto(300):
             mask = image_mask(entry.poly, p)
             w = mask.count
-            s2 = sum(pair_counts(mask))
+            s2 = int(pair_counts(mask).sum())
             rots = [mask.rotated(h) for h in range(p)]
             s3 = 0
             for r1 in rots:
@@ -291,7 +293,11 @@ def _eps_mass_prime(f: IntPoly, p: int) -> tuple[int, int, int]:
     w2 = w * w
     if w == p:
         return p, 0, w2
-    num = sum(abs(p * n - w2) for n in pair_counts(mask))
+    counts = pair_counts(mask)
+    if p**3 < 1 << 63:  # p terms, each at most p^2
+        num = int(np.abs(p * counts - w2).sum())
+    else:
+        num = sum(abs(p * n - w2) for n in counts.tolist())
     return p, num, w2
 
 

@@ -6,7 +6,10 @@ exactly as frozen in polyimage.verify.  Runtimes are bounded by the stated
 per-criterion budgets on desk hardware.
 """
 
+from polyimage.primeimage import image_mask, joint_count
 from polyimage.verify import (
+    CORPUS,
+    _eps_mass_prime,
     check_anomaly_constants,
     check_anomaly_localization,
     check_c0_bound,
@@ -19,6 +22,7 @@ from polyimage.verify import (
     check_square_count,
     check_wan_bound,
     check_zero_average,
+    primes_upto,
 )
 
 SEED = 0
@@ -67,6 +71,16 @@ def test_criterion_09_correlation_convergence():
 
 def test_criterion_10_epsilon_mass_bound():
     _assert(check_eps_mass(workers=2))
+
+
+def test_criterion_10_numerator_matches_python_ints():
+    # the bound alone cannot see a numerator that is too small
+    for entry in CORPUS:
+        for p in primes_upto(200):
+            mask = image_mask(entry.poly, p)
+            w2 = mask.count**2
+            num = sum(abs(p * joint_count(mask, [h]) - w2) for h in range(p))
+            assert _eps_mass_prime(entry.poly, p) == (p, num, w2), (entry.name, p)
 
 
 def test_criterion_11_permutation_reduction():

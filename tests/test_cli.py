@@ -167,6 +167,21 @@ def test_critical_constant_mod_large_prime_returns_at_once():
     assert entry == {"p": p, "elements": [0], "approximate": True, "critical_poly_coeffs": None}
 
 
+def test_verify_anomaly_above_pair_count_cap_exits_3():
+    # the first prime above 2^23 needs a transform past the cap: refused
+    # before its image is built
+    p = 8388617
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyimage.cli", "verify", "anomaly", "--poly", "x^4-2x^2",
+         "--prime", str(p)],
+        capture_output=True, env=_subprocess_env(), text=True, timeout=30,
+    )
+    assert proc.returncode == 3 and not proc.stdout
+    assert f"p={p}" in proc.stderr and "bytes" in proc.stderr
+    assert time.monotonic() - start < 10
+
+
 def test_critical_degenerate(capsys):
     code, _, err = run(capsys, "critical", "--poly", "x")
     assert code == 2

@@ -3,12 +3,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyimage import primeimage
 from polyimage.composite import joint_count_composite, parse_modulus
-from polyimage.errors import DegenerateInputError, InvalidInputError
+from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
 from polyimage.polyarith import IntPoly, ObstructionSet, critical_diffs_mod, parse_poly
 from polyimage.primeimage import (
@@ -141,6 +143,118 @@ def test_anomaly_scan_input_checks():
         anomaly_scan(f, 3, critical_diffs_mod(f, 3))
 
 
+def _anomaly_scan_python_ints(f, p, obstructions, threshold):
+    """The anomaly scan as one exact Python-int comparison per shift."""
+    mask = image_mask(f, p)
+    w2 = mask.count**2
+    rhs = Fraction(threshold) ** 2 * p**3
+    out = []
+    for h in range(1, p):
+        n = joint_count(mask, [h])
+        d = p * n - w2
+        if d * d * rhs.denominator > rhs.numerator:
+            out.append(primeimage.Anomaly(h, n, d / p**1.5, h in obstructions))
+    return out
+
+
+def test_anomaly_scan_matches_python_int_loop():
+    for f in CORPUS:
+        for p in primes_upto(300):
+            if p < 5:
+                continue
+            obs = critical_diffs_mod(f, p)
+            for threshold in (0, 0.05, 0.5, 1.2247, 5):
+                assert anomaly_scan(f, p, obs, threshold) == \
+                    _anomaly_scan_python_ints(f, p, obs, threshold), (f, p, threshold)
+
+
+def _shift_all(raw):
+    raw += 0.5  # every folded count off by one
+    return raw
+
+
+def _off_integer(raw):
+    raw[1] += 0.4  # rounds to the right count, but not within 1/4
+    return raw
+
+
+def _move_to_zero(raw):
+    # raw[h] folds into lag h and raw[-1] into lag p-1: N(0) moves, nothing else
+    raw[0] += 2
+    raw[1] -= 1
+    raw[-1] -= 1
+    return raw
+
+
+def _add_pair(raw):
+    raw[1] += 1
+    raw[-1] += 1  # symmetric, but the sum is off
+    return raw
+
+
+def _break_symmetry(raw):
+    raw[1] += 1
+    raw[2] -= 1
+    return raw
+
+
+@pytest.mark.parametrize("corrupt", [_shift_all, _off_integer, _move_to_zero, _add_pair,
+                                     _break_symmetry])
+def test_pair_counts_fall_back_when_guard_fails(monkeypatch, corrupt):
+    # each corruption defeats one part of the exactness guard
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: corrupt(irfft(*a, **k)))
+    calls = []
+    bigint = primeimage._pair_counts_bigint
+    monkeypatch.setattr(primeimage, "_pair_counts_bigint",
+                        lambda mask: calls.append(mask.p) or bigint(mask))
+    primes = (3, 7, 13, 101)
+    for f in CORPUS:
+        for p in primes:
+            counts = pair_counts(image_mask(f, p))
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [brute_joint_count(f, p, [h]) for h in range(p)]
+    assert calls == list(primes) * len(CORPUS)
+
+
+def _no_fallback(mask):
+    raise AssertionError(f"FFT pair counts failed their guard at p={mask.p}")
+
+
+def test_pair_counts_fft_guard_holds_small_primes(monkeypatch):
+    monkeypatch.setattr(primeimage, "_pair_counts_bigint", _no_fallback)
+    for f in CORPUS:
+        for p in primes_upto(300):
+            assert pair_counts(image_mask(f, p)).tolist() == \
+                [joint_count(image_mask(f, p), [h]) for h in range(p)]
+
+
+def test_pair_counts_fft_at_large_prime(monkeypatch):
+    # the guard's rounding test held, else the fallback would have raised
+    monkeypatch.setattr(primeimage, "_pair_counts_bigint", _no_fallback)
+    p = 1000003
+    mask = compute_image(parse_poly("x^4-2x^2"), p)
+    counts = pair_counts(mask)
+    assert counts.dtype == np.int64 and len(counts) == p
+    assert counts[0] == mask.count
+    assert int(counts.sum()) == mask.count**2
+    assert np.array_equal(counts[1:], counts[:0:-1])
+    rng = random.Random(5)
+    for h in [1, p - 1] + [rng.randrange(p) for _ in range(62)]:
+        assert counts[h] == joint_count(mask, [h]), h
+
+
+def test_pair_counts_cap_before_mask(monkeypatch):
+    p = 8388617  # the first prime above 2^23
+    monkeypatch.setattr(primeimage, "image_mask", _no_fallback)
+    f = parse_poly("x^2")
+    with pytest.raises(ResourceCapError, match=f"p={p}.*bytes"):
+        anomaly_scan(f, p, ObstructionSet("mod", p, ()))
+    with pytest.raises(ResourceCapError, match=f"p={p}"):
+        pair_counts(primeimage.ImageMask(p, 1, 1))
+    assert primeimage._pair_transform_length(8388593) == primeimage.MAX_PAIR_TRANSFORM
+
+
 def test_max_pair_correlation_examples():
     assert max_pair_correlation(parse_poly("x^2"), [101, 103]) < 1
     with pytest.raises(DegenerateInputError):
@@ -199,7 +313,7 @@ def test_counts_match_oracle(coeffs, p, offsets, q):
     f = IntPoly(tuple(coeffs))
     mask = image_mask(f, p)
     counts = pair_counts(mask)
-    assert counts == [brute_joint_count(f, p, [h]) for h in range(p)]
+    assert counts.tolist() == [brute_joint_count(f, p, [h]) for h in range(p)]
     assert sum(counts) == mask.count**2
     assert all(counts[h] == counts[p - h] for h in range(1, p))
     assert joint_count(mask, offsets) == brute_joint_count(f, p, offsets)
