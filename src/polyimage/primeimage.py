@@ -135,10 +135,11 @@ def pair_counts(mask: ImageMask) -> np.ndarray:
     The indicator x of the image is zero-padded to n >= 2p - 1, so the
     inverse transform of |rfft(x)|^2 holds every linear lag without wrap;
     the cyclic count at h is lag h plus lag h - p, found at n - p + h.  The
-    rounded result is kept only if it passes the exactness guard (every
-    value within 1/4 of an integer, N(0) = omega, sum N = omega^2 and
-    N(h) = N(p - h)); otherwise the counts are redone by _pair_counts_bigint.
-    Raises ResourceCapError when n would exceed MAX_PAIR_TRANSFORM."""
+    rounded result must pass the exactness guard (every value within 1/4 of
+    an integer, N(0) = omega, sum N = omega^2 and N(h) = N(p - h)).  For a
+    0/1 indicator with p < 2^23 the float64 error is far below 1/4, so a
+    failure means a broken transform and raises ArithmeticError.  Raises
+    ResourceCapError when n would exceed MAX_PAIR_TRANSFORM."""
     p, w = mask.p, mask.count
     n = _pair_transform_length(p)
     ind = np.unpackbits(np.frombuffer(mask.bits.to_bytes((p + 7) // 8, "little"), np.uint8),
@@ -155,23 +156,10 @@ def pair_counts(mask: ImageMask) -> np.ndarray:
     exact = np.abs(folded, out=folded).max() < 0.25
     del raw, folded
     counts = counts.astype(np.int64)
-    if (exact and counts[0] == w and int(counts.sum()) == w * w
+    if not (exact and counts[0] == w and int(counts.sum()) == w * w
             and np.array_equal(counts[1:], counts[:0:-1])):
-        return counts
-    return _pair_counts_bigint(mask)
-
-
-def _pair_counts_bigint(mask: ImageMask) -> np.ndarray:
-    """pair_counts by p/2 bigint AND/popcounts, O(p^2/64); the fallback when
-    the FFT result fails its guard.  N_2(h, p) = N_2(p - h, p) (substitute
-    t -> t - h), so only the shifts up to p/2 are counted.  The cyclic shift
-    needs no mask to p bits here: the AND with the p-bit image drops
-    everything above bit p-1."""
-    p, bits = mask.p, mask.bits
-    counts = [mask.count] * p
-    for h in range(1, p // 2 + 1):
-        counts[h] = counts[p - h] = (bits & (bits >> h | bits << (p - h))).bit_count()
-    return np.array(counts, dtype=np.int64)
+        raise ArithmeticError(f"FFT pair counts at p={p} failed their exactness guard")
+    return counts
 
 
 def expected_joint_count(p: int, mean_gap: Fraction, k: int) -> Fraction:

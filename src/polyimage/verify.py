@@ -287,18 +287,16 @@ def check_correlation_convergence() -> CheckResult:
 
 
 def _eps_mass_prime(f: IntPoly, p: int) -> tuple[int, int, int]:
-    """(p, sum_h |p*count - omega^2|, omega^2); the epsilon-mass numerator."""
+    """(p, sum_h |p*count - omega^2|, omega^2); the epsilon-mass numerator.
+    Needs p < 2^21: the int64 sum holds p terms, each at most p^2."""
+    assert p < 1 << 21, p
     mask = image_mask(f, p)
     w = mask.count
     w2 = w * w
     if w == p:
         return p, 0, w2
     counts = pair_counts(mask)
-    if p**3 < 1 << 63:  # p terms, each at most p^2
-        num = int(np.abs(p * counts - w2).sum())
-    else:
-        num = sum(abs(p * n - w2) for n in counts.tolist())
-    return p, num, w2
+    return p, int(np.abs(p * counts - w2).sum()), w2
 
 
 def check_eps_mass(workers: int = 1) -> CheckResult:

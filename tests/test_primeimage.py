@@ -200,41 +200,27 @@ def _break_symmetry(raw):
 
 @pytest.mark.parametrize("corrupt", [_shift_all, _off_integer, _move_to_zero, _add_pair,
                                      _break_symmetry])
-def test_pair_counts_fall_back_when_guard_fails(monkeypatch, corrupt):
+def test_pair_counts_raise_when_guard_fails(monkeypatch, corrupt):
     # each corruption defeats one part of the exactness guard
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: corrupt(irfft(*a, **k)))
-    calls = []
-    bigint = primeimage._pair_counts_bigint
-    monkeypatch.setattr(primeimage, "_pair_counts_bigint",
-                        lambda mask: calls.append(mask.p) or bigint(mask))
-    primes = (3, 7, 13, 101)
     for f in CORPUS:
-        for p in primes:
-            counts = pair_counts(image_mask(f, p))
-            assert counts.dtype == np.int64
-            assert counts.tolist() == [brute_joint_count(f, p, [h]) for h in range(p)]
-    assert calls == list(primes) * len(CORPUS)
+        for p in (3, 7, 13, 101):
+            with pytest.raises(ArithmeticError, match=f"p={p} failed"):
+                pair_counts(image_mask(f, p))
 
 
-def _no_fallback(mask):
-    raise AssertionError(f"FFT pair counts failed their guard at p={mask.p}")
-
-
-def test_pair_counts_fft_guard_holds_small_primes(monkeypatch):
-    monkeypatch.setattr(primeimage, "_pair_counts_bigint", _no_fallback)
+def test_pair_counts_match_joint_count_small_primes():
     for f in CORPUS:
         for p in primes_upto(300):
             assert pair_counts(image_mask(f, p)).tolist() == \
                 [joint_count(image_mask(f, p), [h]) for h in range(p)]
 
 
-def test_pair_counts_fft_at_large_prime(monkeypatch):
-    # the guard's rounding test held, else the fallback would have raised
-    monkeypatch.setattr(primeimage, "_pair_counts_bigint", _no_fallback)
+def test_pair_counts_fft_at_large_prime():
     p = 1000003
     mask = compute_image(parse_poly("x^4-2x^2"), p)
-    counts = pair_counts(mask)
+    counts = pair_counts(mask)  # the guard's rounding test held, else this raised
     assert counts.dtype == np.int64 and len(counts) == p
     assert counts[0] == mask.count
     assert int(counts.sum()) == mask.count**2
@@ -244,9 +230,13 @@ def test_pair_counts_fft_at_large_prime(monkeypatch):
         assert counts[h] == joint_count(mask, [h]), h
 
 
+def _no_mask(f, p):
+    raise AssertionError(f"image mask built at p={p}")
+
+
 def test_pair_counts_cap_before_mask(monkeypatch):
     p = 8388617  # the first prime above 2^23
-    monkeypatch.setattr(primeimage, "image_mask", _no_fallback)
+    monkeypatch.setattr(primeimage, "image_mask", _no_mask)
     f = parse_poly("x^2")
     with pytest.raises(ResourceCapError, match=f"p={p}.*bytes"):
         anomaly_scan(f, p, ObstructionSet("mod", p, ()))
