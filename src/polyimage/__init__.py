@@ -45,6 +45,5 @@ from .stats import (
     correlation,
     gap_frequency,
     ks_exponential,
-    ks_statistic_exponential,
     spacing_series,
 )

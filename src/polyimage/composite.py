@@ -3,9 +3,10 @@
 A modulus is an ordered tuple of distinct primes with their product q.  Sizes
 and joint counts over q are products of the per-prime values, so they never
 require touching all q residues.  Spacing statistics read the image itself,
-streamed in sorted chunks under a configurable cap on q: each chunk is the
-AND of every prime's periodic bit pattern over its window of Z/qZ, so no
-length-q object is ever built.
+streamed in sorted chunks under a configurable cap on q, by CRT windows: the
+smallest primes, with Q_A <= 2^18, give the image I_A mod Q_A and the rest a
+Q_B-byte table of the image mod Q_B, and a window of Q_A residues keeps the
+a in I_A that the table accepts.  That is q/s_A candidate tests in all.
 
 Factorization of user-supplied q is best effort: trial division to 10^6, then
 Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
@@ -163,39 +164,52 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
     return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
 
 
-_ELEMENT_CHUNK_BYTES = 1 << 20
+# Q_A, the residues of the small-prime part of q, stays at most _A_RESIDUES.
+# A chunk tests about _CHUNK_CANDIDATES candidates (1 MB of int64; 2^18 was
+# slower) and spans under 2^31 residues, which spacing_series' int64 relies on
+_A_RESIDUES = 1 << 18
+_CHUNK_CANDIDATES = 1 << 17
 
 
-def _pattern_tile(mask: ImageMask, nbytes: int) -> np.ndarray:
-    """The first nbytes packed bytes of the p-periodic image indicator,
-    built by doubling the mask's bits until they cover them."""
-    bits, length = mask.bits, mask.p
-    while length < 8 * nbytes:
-        bits |= bits << length
-        length *= 2
-    return np.frombuffer(bits.to_bytes((length + 7) // 8, "little"), np.uint8)[:nbytes]
-
-
-def _element_chunks(masks: list[ImageMask], q: int):
-    nbytes = (q + 7) // 8
-    chunk = _ELEMENT_CHUNK_BYTES
-    # byte b of a prime's pattern repeats at b + L, L = p / gcd(8, p); a tile
-    # of L + chunk bytes holds every chunk-long window of the pattern
-    tiles = []
+def _product_indicator(masks: list[ImageMask], n: int) -> np.ndarray:
+    """Bool array over the n = prod(p) residues, set where the residue is in
+    every mask's image mod p: the first prime's bits tiled, the rest ANDed."""
+    ind = None if masks else np.ones(1, bool)
     for mask in masks:
-        period = mask.p // math.gcd(8, mask.p)
-        tiles.append((period, _pattern_tile(mask, min(nbytes, period + chunk))))
-    for off in range(0, nbytes, chunk):
-        n = min(chunk, nbytes - off)
-        acc = np.full(n, 0xFF, np.uint8)
-        for period, tile in tiles:
-            start = off % period
-            acc &= tile[start:start + n]
-        bits = np.unpackbits(acc, bitorder="little", count=min(8 * n, q - 8 * off))
-        idx = np.flatnonzero(bits).astype(np.int64, copy=False)
-        if len(idx):
-            idx += off << 3
-            yield idx
+        bits = mask.indicator().view(bool)
+        if ind is None:
+            ind = bits if mask.p == n else np.tile(bits, n // mask.p)
+        else:
+            ind.reshape(-1, mask.p)[:] &= bits
+    return ind
+
+
+def _crt_windows(masks: list[ImageMask], q: int):
+    """The image in windows [k*Q_A, (k+1)*Q_A), A the longest prefix of the
+    ascending primes with Q_A <= _A_RESIDUES and B the rest.  Element
+    k*Q_A + a, a in the sorted image I_A mod Q_A, is in the image iff
+    (a + k*Q_A) mod Q_B is in I_B; over a chunk of windows k0 + t that index
+    is (a + k0*Q_A) mod Q_B plus t*Q_A mod Q_B, one cyclic wrap at most."""
+    split, qa = 0, 1
+    while split < len(masks) and qa * masks[split].p <= _A_RESIDUES:
+        qa *= masks[split].p
+        split += 1
+    qb = q // qa
+    ia = np.flatnonzero(_product_indicator(masks[:split], qa))
+    table = _product_indicator(masks[split:], qb)
+    width = min(qb, max(1, _CHUNK_CANDIDATES // len(ia)), ((1 << 31) - 1) // qa)
+    rows = np.arange(width)[:, None]
+    candidates, steps = rows * qa + ia, rows * qa % qb
+    idx = np.empty(candidates.shape, np.int64)
+    hit = np.empty(candidates.shape, bool)
+    for k in range(0, qb, width):
+        n = min(width, qb - k)
+        np.add(steps[:n], (ia + k * qa) % qb, out=idx[:n])
+        np.take(table, idx[:n], mode="wrap", out=hit[:n])
+        els = candidates[:n].ravel()[np.flatnonzero(hit[:n])]
+        if len(els):
+            els += k * qa
+            yield els
 
 
 def enumerate_image(
@@ -205,12 +219,12 @@ def enumerate_image(
     workers: int = 1,
 ):
     """Sorted residues of the image of f modulo q (t with t mod p in the
-    image for every p | q), as an iterator of int64 arrays covering at most
-    8 * _ELEMENT_CHUNK_BYTES consecutive residues each; empty ranges are
-    skipped.  Each chunk is the AND of the per-prime patterns over its
-    window, so nothing of length q is held.  Refuses moduli beyond cap_bits
-    at the call; correlation-style statistics stay available through the
-    multiplicative path."""
+    image for every p | q), as an iterator of int64 arrays of about
+    _CHUNK_CANDIDATES candidates each, spanning under 2^31 residues; empty
+    ranges are skipped.  The chunks come from CRT windows (_crt_windows), so
+    the work is about q/s_A candidate tests and nothing of length q is held.
+    Refuses moduli beyond cap_bits at the call; correlation-style statistics
+    stay available through the multiplicative path."""
     q = modulus.q
     if q > cap_bits:
         raise ResourceCapError(
@@ -218,4 +232,4 @@ def enumerate_image(
             "use the multiplicative correlation workflow instead"
         )
     masks = pmap(partial(image_mask, f), modulus.primes, workers)
-    return _element_chunks(masks, q)
+    return _crt_windows(masks, q)

@@ -8,6 +8,7 @@ the tests trust these and check the fast paths against them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,20 @@ def brute_critical_diffs(f: IntPoly, p: int) -> list[int]:
         raise InvalidInputError(f"brute-force modulus {p} exceeds {MAX_BRUTE_MODULUS}")
     c = critical_value_poly(f, p)
     return [h for h in range(p) if fp_gcd(c, c.shifted(h)).degree > 0]
+
+
+def ks_statistic_exponential(values) -> float:
+    """Sup distance between the empirical CDF of the values and 1-e^{-t},
+    evaluated at the jump points from both sides."""
+    vs = sorted(float(v) for v in values)
+    n = len(vs)
+    if n == 0:
+        raise InvalidInputError("empty sample")
+    d = 0.0
+    for i, t in enumerate(vs):
+        ref = -math.expm1(-t)
+        d = max(d, abs(ref - i / n), abs((i + 1) / n - ref))
+    return d
 
 
 def _gcd_degree_q(a: IntPoly, b: IntPoly) -> int:

@@ -373,6 +373,38 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity."""
+    a, sign = a % n, 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if (twos % 2 == 1 and n % 8 in (3, 5)) != (a % 4 == n % 4 == 3):
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _proth_prime(lo: int, avoid: int) -> int:
+    """The least prime P = k * 2^n + 1 > lo not dividing `avoid`, k odd and
+    k < 2^n (n from the size of lo, raised if k runs out), proved prime by
+    Proth's theorem: a^((P-1)/2) = -1 mod P for the first a whose Jacobi
+    symbol (a|P) is not 1; a symbol of 0, or of -1 without that, shows P
+    composite."""
+    n = lo.bit_length() // 2 + 1
+    k = -(-lo >> n) | 1
+    while True:
+        if k >> n:
+            n += 1
+            k = -(-lo >> n) | 1
+        p, a = (k << n) + 1, 2
+        while _jacobi(a, p) == 1:
+            a += 1
+        if _jacobi(a, p) == -1 and pow(a, p >> 1, p) == p - 1 and avoid % p:
+            return p
+        k += 2
+
+
 # ---------------------------------------------------------------------------
 # resultants
 
@@ -579,19 +611,17 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
 
     These are the integer roots of R = difference_resultant(C), of degree
     m^2 (m = deg C).  Each root is a difference of two roots of C, so
-    |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|)) by Cauchy's bound.  Mod the
-    first prime P > max(2B, m^2) not dividing lc(C), R reduces to
+    |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|)) by Cauchy's bound.  Mod a
+    prime P > max(2B, m^2) not dividing lc(C), R reduces to
     difference_resultant(C mod P); its roots, lifted to (-P/2, P/2), contain
     every integer root, and the ones with Res(C(y), C(y + r)) = 0 exactly,
-    which is R(r) = 0, are kept.  P is chosen by is_probable_prime, which is
-    deterministic below 2^64.
+    which is R(r) = 0, are kept.  P is a Proth prime, proved prime at every
+    size (_proth_prime).
     """
     c = critical_value_poly(f)
     ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
     bound = 2 * (1 + ratio)
-    prime = max(2 * bound, c.degree**2) + 1
-    while not is_probable_prime(prime) or c.leading % prime == 0:
-        prime += 1
+    prime = _proth_prime(max(2 * bound, c.degree**2), c.leading)
     lifted = (h if 2 * h < prime else h - prime
               for h in fp_roots(difference_resultant(FpPoly.from_int_poly(c, prime))))
     return ObstructionSet("infinity", None, tuple(

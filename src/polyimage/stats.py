@@ -5,9 +5,9 @@ gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
 sum of products of neighbouring gaps -- which is filled in one pass over the
-image as composite.enumerate_image streams it, so neither a per-gap array
-nor a length-q bitmap is ever held.  Everything stays rational until a
-statistic is inherently real-valued: the KS distance and histogram columns
+image as composite.enumerate_image streams it in chunks of at most 2^18
+elements, so no per-gap array is ever held.  Everything stays rational until
+a statistic is inherently real-valued: the KS distance and histogram columns
 convert single gap values to floats at the last step.
 
 The correlation sum runs over the integer points of the dilated window,
@@ -80,10 +80,12 @@ def spacing_series(
             gaps = np.diff(els, prepend=last)
         last = int(els[-1])
         if len(gaps):
-            head = int(gaps[0]) if head is None else head
-            # exact in int64: only gaps[0] can exceed a chunk's 2^23-residue
-            # span, so the dot product stays below q * 2^23 + 2^46
-            lag_sum += prev * int(gaps[0]) + int(np.dot(gaps[:-1], gaps[1:]))
+            g0 = int(gaps[0])
+            head = g0 if head is None else head
+            # g0 may cross from the previous chunk, so its products are Python
+            # ints; the other gaps lie in one chunk, whose span is under 2^31,
+            # so their lag-1 products sum below 2^62, exactly in int64
+            lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
             prev = int(gaps[-1])
             tables.append(np.unique(gaps, return_counts=True))
     if count < 2:
@@ -108,20 +110,6 @@ def gap_frequency(series: SpacingSeries, h: int) -> Fraction:
 class KSResult:
     statistic: float
     n: int
-
-
-def ks_statistic_exponential(values) -> float:
-    """Sup distance between the empirical CDF of the values and 1-e^{-t},
-    evaluated at the jump points from both sides."""
-    vs = sorted(float(v) for v in values)
-    n = len(vs)
-    if n == 0:
-        raise InvalidInputError("empty sample")
-    d = 0.0
-    for i, t in enumerate(vs):
-        ref = -math.expm1(-t)
-        d = max(d, abs(ref - i / n), abs((i + 1) / n - ref))
-    return d
 
 
 def ks_exponential(series: SpacingSeries) -> KSResult:

@@ -112,17 +112,21 @@ def test_enumerate_cap():
         enumerate_image(parse_poly("x^2"), parse_modulus(105), cap_bits=64)
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 1, 3])
-def test_enumerate_matches_oracle_bit_for_bit(chunk_bytes):
-    # chunks of 1 and 3 bytes start at every phase of each prime's byte
-    # period; no modulus here is a multiple of 8, so the last byte is partial
-    with pytest.MonkeyPatch.context() as mp:
-        if chunk_bytes is not None:
-            mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", chunk_bytes)
-        for f in CORPUS:
-            for qv in (15, 21, 30, 105, 770, 1155):
-                want = brute_image(f, qv)
-                assert elements(enumerate_image(f, parse_modulus(qv))) == want, (f, qv)
+@pytest.mark.parametrize("chunk_candidates", [None, 1, 3])
+def test_enumerate_matches_oracle_bit_for_bit(chunk_candidates):
+    # chunks of 1 and 3 candidates end at every window phase; A budgets of 1,
+    # 2, 30 and the default give Q_A = 1, the splits between and Q_B = 1
+    for a_residues in (None, 1, 2, 30):
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_candidates is not None:
+                mp.setattr(composite, "_CHUNK_CANDIDATES", chunk_candidates)
+            if a_residues is not None:
+                mp.setattr(composite, "_A_RESIDUES", a_residues)
+            for f in CORPUS:
+                for qv in (15, 21, 30, 105, 770, 1155):
+                    want = brute_image(f, qv)
+                    got = elements(enumerate_image(f, parse_modulus(qv)))
+                    assert got == want, (f, qv, a_residues)
 
 
 def test_enumerate_holds_nothing_of_length_q():
@@ -131,7 +135,7 @@ def test_enumerate_holds_nothing_of_length_q():
     for p in m.primes:
         image_mask(f, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", 4096)
+        mp.setattr(composite, "_CHUNK_CANDIDATES", 4096)
         tracemalloc.start()
         try:
             count = sum(len(c) for c in enumerate_image(f, m))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyimage import polyarith
 from polyimage.errors import DegenerateInputError, InvalidInputError, WildModulusError
 from polyimage.oracle import (
     brute_critical_diffs,
@@ -284,6 +285,44 @@ def test_critical_diffs_infinity_examples():
     # critical values +-2000 and {0, -10^4}: root bounds in the millions
     assert critical_diffs_infinity(parse_poly("x^3-300x")).elements == (-4000, 0, 4000)
     assert critical_diffs_infinity(parse_poly("x^4-200x^2")).elements == (-10000, 0, 10000)
+
+
+def test_proth_prime_is_the_least_prime_of_its_form():
+    # Miller-Rabin is deterministic at these sizes, an independent check
+    for lo in range(0, 5000, 7):
+        p = polyarith._proth_prime(lo, 1)
+        k, n = p - 1, 0
+        while k % 2 == 0:
+            k, n = k // 2, n + 1
+        assert p > lo and k < 2**n and polyarith.is_probable_prime(p), lo
+        below = [(j << n) + 1 for j in range(k - 2, 0, -2) if (j << n) + 1 > lo]
+        assert not any(polyarith.is_probable_prime(c) for c in below), lo
+    assert polyarith._proth_prime(4, 5) == 13  # 5 = 1 * 2^2 + 1 divides `avoid`
+
+
+def test_critical_diffs_infinity_prime_has_proth_certificate():
+    # coefficients near 10^21 and critical values 10^21 -+ 2t^3, so the set is
+    # {0, +-4t^3} and P exceeds 2^64, where fixed-base Miller-Rabin is no proof
+    t = 3 * 10**10
+    f = IntPoly((10**21, -3 * t * t, 0, 1))
+    chosen = []
+    pick = polyarith._proth_prime
+
+    def recorded(lo, avoid):
+        chosen.append(pick(lo, avoid))
+        return chosen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyarith, "_proth_prime", recorded)
+        assert critical_diffs_infinity(f).elements == (-4 * t**3, 0, 4 * t**3)
+    (p,) = chosen
+    assert p > 8 * t**3 > 2**64 and critical_value_poly(f).leading % p
+    k, n = p - 1, 0
+    while k % 2 == 0:
+        k, n = k // 2, n + 1
+    assert k < 2**n
+    # Proth's theorem: one a with a^((p-1)/2) = -1 mod p proves p prime
+    assert any(pow(a, (p - 1) // 2, p) == p - 1 for a in range(2, 100))
 
 
 def test_critical_diffs_mod_examples():

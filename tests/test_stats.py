@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from polyimage import composite
 from polyimage.composite import enumerate_image, joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
-from polyimage.oracle import brute_image
+from polyimage.oracle import brute_image, ks_statistic_exponential
 from polyimage.polyarith import IntPoly, parse_poly
 from polyimage.stats import (
     CorrelationWindow,
@@ -22,7 +22,6 @@ from polyimage.stats import (
     gap_frequency,
     histogram_normalized,
     ks_exponential,
-    ks_statistic_exponential,
     spacing_series,
 )
 
@@ -72,22 +71,31 @@ def test_gap_frequency_examples():
 SQUARE_FREE = [q for q in range(2, 3001) if all(q % (d * d) for d in range(2, 55))]
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 1])
+@pytest.mark.parametrize("chunk_candidates", [None, 1, 3])
 @settings(max_examples=40, deadline=None)
 @given(coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=7),
        q=st.sampled_from(SQUARE_FREE))
-def test_gap_table_matches_oracle(chunk_bytes, coeffs, q):
-    # chunk_bytes=1 makes every modulus span many element chunks
+def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
+    # small chunks make every modulus span many chunks; A budgets of 1, 2, 30
+    # and the default give Q_A = 1, the splits between and, for small q, Q_B = 1
     f = IntPoly(tuple(coeffs))
     image = brute_image(f, q)
+    tables = []
     with pytest.MonkeyPatch.context() as mp:
-        if chunk_bytes is not None:
-            mp.setattr(composite, "_ELEMENT_CHUNK_BYTES", chunk_bytes)
-        if len(image) < 2 or len(image) == q:
-            with pytest.raises(DegenerateInputError):
-                spacing_series(f, parse_modulus(q))
-            return
-        s = spacing_series(f, parse_modulus(q))
+        if chunk_candidates is not None:
+            mp.setattr(composite, "_CHUNK_CANDIDATES", chunk_candidates)
+        for a_residues in (None, 1, 2, 30):
+            if a_residues is not None:
+                mp.setattr(composite, "_A_RESIDUES", a_residues)
+            if len(image) < 2 or len(image) == q:
+                with pytest.raises(DegenerateInputError):
+                    spacing_series(f, parse_modulus(q))
+                continue
+            s = spacing_series(f, parse_modulus(q))
+            tables.append((s.element_count, list(s.gap_values), list(s.gap_counts), s.lag_sum))
+    if not tables:
+        return
+    assert tables == tables[:1] * len(tables)
     n = len(image)
     gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + q - image[-1]]
     values = sorted(set(gaps))
