@@ -3,10 +3,9 @@
 A modulus is an ordered tuple of distinct primes with their product q.  Sizes
 and joint counts over q are products of the per-prime values, so they never
 require touching all q residues.  Spacing statistics read the image itself,
-streamed in sorted chunks under a configurable cap on q, by CRT windows: the
-smallest primes, with Q_A <= 2^18, give the image I_A mod Q_A and the rest a
-Q_B-byte table of the image mod Q_B, and a window of Q_A residues keeps the
-a in I_A that the table accepts.  That is q/s_A candidate tests in all.
+streamed in sorted chunks under a configurable cap on q, by CRT windows: a
+window of Q_A residues (Q_A <= 2^18, the smallest primes) keeps the a in the
+image mod Q_A whose bit is set in the packed q/Q_A-bit image mod the rest.
 
 Factorization of user-supplied q is best effort: trial division to 10^6, then
 Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
@@ -164,52 +163,52 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
     return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
 
 
-# Q_A, the residues of the small-prime part of q, stays at most _A_RESIDUES.
-# A chunk tests about _CHUNK_CANDIDATES candidates (1 MB of int64; 2^18 was
-# slower) and spans under 2^31 residues, which spacing_series' int64 relies on
+# bounds on Q_A and on the candidates a chunk tests (2^18 candidates was slower)
 _A_RESIDUES = 1 << 18
 _CHUNK_CANDIDATES = 1 << 17
 
 
-def _product_indicator(masks: list[ImageMask], n: int) -> np.ndarray:
-    """Bool array over the n = prod(p) residues, set where the residue is in
-    every mask's image mod p: the first prime's bits tiled, the rest ANDed."""
-    ind = None if masks else np.ones(1, bool)
+def _packed_image(masks: list[ImageMask], n: int) -> np.ndarray:
+    """The residues mod n = prod(p) in every mask's image, as at least n bits
+    in little-endian 64-bit words: each mask's bits doubled to cover n, ANDed."""
+    acc = None if masks else 1
     for mask in masks:
-        bits = mask.indicator().view(bool)
-        if ind is None:
-            ind = bits if mask.p == n else np.tile(bits, n // mask.p)
-        else:
-            ind.reshape(-1, mask.p)[:] &= bits
-    return ind
+        bits, length = mask.bits, mask.p
+        while length < n:
+            bits, length = bits | bits << length, 2 * length
+        acc = bits if acc is None else acc & bits
+    return np.frombuffer(acc.to_bytes((max(acc.bit_length(), n) + 63) // 64 * 8, "little"), "<i8")
 
 
 def _crt_windows(masks: list[ImageMask], q: int):
     """The image in windows [k*Q_A, (k+1)*Q_A), A the longest prefix of the
-    ascending primes with Q_A <= _A_RESIDUES and B the rest.  Element
-    k*Q_A + a, a in the sorted image I_A mod Q_A, is in the image iff
-    (a + k*Q_A) mod Q_B is in I_B; over a chunk of windows k0 + t that index
-    is (a + k0*Q_A) mod Q_B plus t*Q_A mod Q_B, one cyclic wrap at most."""
+    ascending primes with Q_A <= _A_RESIDUES and B the rest: k*Q_A + a, a in
+    the image mod Q_A, is in it iff bit (a + k*Q_A) mod Q_B of the image mod
+    Q_B is set.  For k = k0 + t that is (a + k0*Q_A) mod Q_B + t*Q_A mod Q_B,
+    wrapped once at most.  A chunk spans under 2^31 residues."""
     split, qa = 0, 1
     while split < len(masks) and qa * masks[split].p <= _A_RESIDUES:
         qa *= masks[split].p
         split += 1
-    qb = q // qa
-    ia = np.flatnonzero(_product_indicator(masks[:split], qa))
-    table = _product_indicator(masks[split:], qb)
+    qb, u64 = q // qa, np.uint64
+    ia = np.flatnonzero(np.unpackbits(_packed_image(masks[:split], qa).view(np.uint8),
+                                      count=qa, bitorder="little"))
+    table = _packed_image(masks[split:], qb)
     width = min(qb, max(1, _CHUNK_CANDIDATES // len(ia)), ((1 << 31) - 1) // qa)
-    rows = np.arange(width)[:, None]
-    candidates, steps = rows * qa + ia, rows * qa % qb
-    idx = np.empty(candidates.shape, np.int64)
+    rows = np.arange(width)[:, None] * qa
+    candidates, steps = rows + ia, rows % qb
+    idx, tmp, word = np.empty((3,) + candidates.shape, np.int64)
     hit = np.empty(candidates.shape, bool)
     for k in range(0, qb, width):
-        n = min(width, qb - k)
-        np.add(steps[:n], (ia + k * qa) % qb, out=idx[:n])
-        np.take(table, idx[:n], mode="wrap", out=hit[:n])
-        els = candidates[:n].ravel()[np.flatnonzero(hit[:n])]
+        i, t, w, h, s, c = (buf[:qb - k] for buf in (idx, tmp, word, hit, steps, candidates))
+        np.add(s, (ia + k * qa) % qb, out=i)
+        # i - qb < 0 is above i as unsigned; int64 indices keep take from converting
+        np.minimum(i.view(u64), np.subtract(i, qb, out=t).view(u64), out=i.view(u64))
+        np.take(table, np.right_shift(i, 6, out=t), out=w, mode="clip")
+        np.right_shift(w, np.bitwise_and(i, 63, out=t), out=w)
+        els = c.ravel()[np.flatnonzero(np.bitwise_and(w, 1, out=h, casting="unsafe"))]
         if len(els):
-            els += k * qa
-            yield els
+            yield els + k * qa
 
 
 def enumerate_image(
@@ -220,9 +219,9 @@ def enumerate_image(
 ):
     """Sorted residues of the image of f modulo q (t with t mod p in the
     image for every p | q), as an iterator of int64 arrays of about
-    _CHUNK_CANDIDATES candidates each, spanning under 2^31 residues; empty
-    ranges are skipped.  The chunks come from CRT windows (_crt_windows), so
-    the work is about q/s_A candidate tests and nothing of length q is held.
+    _CHUNK_CANDIDATES candidates each; empty ranges are skipped.  CRT
+    windows (_crt_windows) make that about q/s_A candidate tests, and the
+    one object that grows with q is the image mod Q_B in q/Q_A packed bits.
     Refuses moduli beyond cap_bits at the call; correlation-style statistics
     stay available through the multiplicative path."""
     q = modulus.q

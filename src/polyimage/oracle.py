@@ -55,14 +55,11 @@ def ks_statistic_exponential(values) -> float:
     """Sup distance between the empirical CDF of the values and 1-e^{-t},
     evaluated at the jump points from both sides."""
     vs = sorted(float(v) for v in values)
-    n = len(vs)
-    if n == 0:
+    if not vs:
         raise InvalidInputError("empty sample")
-    d = 0.0
-    for i, t in enumerate(vs):
-        ref = -math.expm1(-t)
-        d = max(d, abs(ref - i / n), abs((i + 1) / n - ref))
-    return d
+    n = len(vs)
+    return max(max(-math.expm1(-t) - i / n, (i + 1) / n + math.expm1(-t))
+               for i, t in enumerate(vs))
 
 
 def _gcd_degree_q(a: IntPoly, b: IntPoly) -> int:

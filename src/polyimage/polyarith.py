@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .errors import DegenerateInputError, InvalidInputError, WildModulusError
 
@@ -373,36 +373,16 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) for odd n > 0, by quadratic reciprocity."""
-    a, sign = a % n, 1
-    while a:
-        twos = (a & -a).bit_length() - 1
-        a >>= twos
-        if (twos % 2 == 1 and n % 8 in (3, 5)) != (a % 4 == n % 4 == 3):
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
-
-
 def _proth_prime(lo: int, avoid: int) -> int:
-    """The least prime P = k * 2^n + 1 > lo not dividing `avoid`, k odd and
-    k < 2^n (n from the size of lo, raised if k runs out), proved prime by
-    Proth's theorem: a^((P-1)/2) = -1 mod P for the first a whose Jacobi
-    symbol (a|P) is not 1; a symbol of 0, or of -1 without that, shows P
-    composite."""
-    n = lo.bit_length() // 2 + 1
-    k = -(-lo >> n) | 1
-    while True:
-        if k >> n:
-            n += 1
-            k = -(-lo >> n) | 1
-        p, a = (k << n) + 1, 2
-        while _jacobi(a, p) == 1:
-            a += 1
-        if _jacobi(a, p) == -1 and pow(a, p >> 1, p) == p - 1 and avoid % p:
-            return p
-        k += 2
+    """A prime P = k * 2^n + 1 > lo not dividing `avoid`, k odd and k < 2^n:
+    is_probable_prime screens out squares and other composites, then Proth's
+    theorem proves P prime by a^((P-1)/2) = -1 mod P for some a < 2^10."""
+    for n in count(lo.bit_length() // 2 + 1):
+        for k in range(-(-lo >> n) | 1, 1 << n, 2):
+            p = (k << n) + 1
+            if avoid % p and is_probable_prime(p) and any(
+                    pow(a, p >> 1, p) == p - 1 for a in range(2, 1 << 10)):
+                return p
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,6 @@ class ImageMask:
     bits: int
     count: int
 
-    def indicator(self) -> np.ndarray:
-        """The image as a length-p uint8 array of zeros and ones."""
-        raw = np.frombuffer(self.bits.to_bytes((self.p + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(raw, count=self.p, bitorder="little")
-
     def rotated(self, h: int) -> int:
         """Bitset of {t : t + h in image}, cyclically."""
         h %= self.p
@@ -147,7 +142,9 @@ def pair_counts(mask: ImageMask) -> np.ndarray:
     ResourceCapError when n would exceed MAX_PAIR_TRANSFORM."""
     p, w = mask.p, mask.count
     n = _pair_transform_length(p)
-    spec = np.fft.rfft(mask.indicator(), n)
+    ind = np.unpackbits(np.frombuffer(mask.bits.to_bytes((p + 7) // 8, "little"), np.uint8),
+                        count=p, bitorder="little")
+    spec = np.fft.rfft(ind, n)
     np.absolute(spec, out=spec)  # |X|^2 in place, no complex temporary
     spec *= spec
     raw = np.fft.irfft(spec, n)

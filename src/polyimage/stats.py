@@ -82,9 +82,8 @@ def spacing_series(
         if len(gaps):
             g0 = int(gaps[0])
             head = g0 if head is None else head
-            # g0 may cross from the previous chunk, so its products are Python
-            # ints; the other gaps lie in one chunk, whose span is under 2^31,
-            # so their lag-1 products sum below 2^62, exactly in int64
+            # g0 may cross from the previous chunk: its products are Python ints;
+            # the rest lie in one chunk of span < 2^31, so their sum is < 2^62
             lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
             prev = int(gaps[-1])
             tables.append(np.unique(gaps, return_counts=True))

@@ -146,6 +146,23 @@ def test_enumerate_holds_nothing_of_length_q():
     assert peak < m.q // 32, peak  # a quarter of the q/8-byte bitmap
 
 
+def test_enumerate_prime_holds_its_image_packed():
+    # Q_A = 1: the table of the image mod q is q bits, not q bytes
+    f = parse_poly("x^2")
+    m = parse_modulus(1000003)
+    image_mask(f, m.q)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
+        tracemalloc.start()
+        try:
+            count = sum(len(c) for c in enumerate_image(f, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert count == (m.q + 1) // 2
+    assert peak < m.q // 4, peak  # twice the q/8-byte table
+
+
 def test_enumerate_popcount_is_product():
     for f in CORPUS:
         for qv in (15, 105, 1155, 15015):

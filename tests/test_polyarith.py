@@ -1,7 +1,11 @@
 """Exact arithmetic: parsing, gcds, resultants, critical-value sets."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,7 +291,7 @@ def test_critical_diffs_infinity_examples():
     assert critical_diffs_infinity(parse_poly("x^4-200x^2")).elements == (-10000, 0, 10000)
 
 
-def test_proth_prime_is_the_least_prime_of_its_form():
+def test_proth_prime_has_its_form_and_no_smaller_k_at_its_n():
     # Miller-Rabin is deterministic at these sizes, an independent check
     for lo in range(0, 5000, 7):
         p = polyarith._proth_prime(lo, 1)
@@ -298,6 +302,22 @@ def test_proth_prime_is_the_least_prime_of_its_form():
         below = [(j << n) + 1 for j in range(k - 2, 0, -2) if (j << n) + 1 > lo]
         assert not any(polyarith.is_probable_prime(c) for c in below), lo
     assert polyarith._proth_prime(4, 5) == 13  # 5 = 1 * 2^2 + 1 divides `avoid`
+
+
+def test_proth_prime_skips_square_candidates():
+    # lo = 2^256 starts at k = 2^127 + 1, n = 129, where P = (2^128 + 1)^2 is
+    # a square: every a coprime to it is a quadratic residue.  f = x^2 + c,
+    # c = 2^254 - 1, has C = y - c and the same lo.  A subprocess, so that a
+    # search for a non-residue fails by timeout
+    code = ("from polyimage.polyarith import IntPoly, _proth_prime, critical_diffs_infinity;"
+            "print(_proth_prime(2**256, 1) > 2**256,"
+            " critical_diffs_infinity(IntPoly((2**254 - 1, 0, 1))).elements)")
+    src = str(Path(polyarith.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "(0,)"]
 
 
 def test_critical_diffs_infinity_prime_has_proth_certificate():
