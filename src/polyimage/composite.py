@@ -7,7 +7,7 @@ streamed in sorted chunks under a configurable cap on q, by CRT windows: a
 window of Q_A residues (Q_A <= 2^18, the smallest primes) keeps the a in the
 image mod Q_A whose bit is set in the packed q/Q_A-bit image mod the rest.
 
-Factorization of user-supplied q is best effort: trial division to 10^6, then
+Factorization of user-supplied q is best effort: trial division to 10^4, then
 Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
 Callers with adversarial moduli should pass the prime list explicitly.
 """
@@ -29,7 +29,7 @@ from .polyarith import IntPoly, is_probable_prime
 from .primeimage import ImageMask, PrimeStats, image_mask, joint_count, prime_stats
 
 DEFAULT_CAP_BITS = 1 << 31
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 10**4
 # work bound for Brent rho: factors of ~10^11 and below are found well within it
 _RHO_STEPS = 1 << 20
 
@@ -227,7 +227,7 @@ def enumerate_image(
     q = modulus.q
     if q > cap_bits:
         raise ResourceCapError(
-            f"q={q} exceeds the {cap_bits}-bit enumeration cap; "
+            f"q={q} exceeds the {cap_bits}-residue enumeration cap; "
             "use the multiplicative correlation workflow instead"
         )
     masks = pmap(partial(image_mask, f), modulus.primes, workers)

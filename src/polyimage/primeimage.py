@@ -2,6 +2,11 @@
 
 The image of f modulo p lives in an ImageMask: a length-p bitset held in a
 single Python int (bit t set iff t is hit by f), with the popcount cached.
+It is built from the reduction f = g(x^m) mod p: the image is f(0) and
+g(H), H the subgroup of d-th powers in F_p^x with d = gcd(m, p - 1), so g
+is evaluated at (p - 1)/d points, walked as powers of r^d for a primitive
+root r.  The values are marked in a p-byte scratch and packed into bits;
+MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.
 Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
 which is what makes prime-by-prime scans cheap.  This module owns that
@@ -22,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -29,7 +35,10 @@ from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly, ObstructionSet
 
 MAX_PRIME = 1 << 31
-_CHUNK = 1 << 20
+# Largest prime compute_image builds a mask for: the build marks the image in
+# a p-byte scratch, 256 MiB at the cap, beside the p/8-byte packed mask.
+MAX_MASK_PRIME = 1 << 28
+_BLOCK = 1 << 18  # subgroup points per vectorized Horner pass
 # Largest transform pair_counts takes: n = 2^24 serves every p < 2^23.  numpy's
 # rfft holds about 24 * n bytes (padded float64 input, its working copy and
 # the spectrum), so the peak is about 32 * n bytes: 550 MB and 4 s as a
@@ -67,26 +76,82 @@ def _full_mask(p: int) -> int:
     return (1 << p) - 1
 
 
-def _horner_bits(f: IntPoly, p: int) -> bytes:
-    buf = np.zeros((p + 7) // 8, dtype=np.uint8)
-    cs = [c % p for c in reversed(f.coeffs)]
-    for lo in range(0, p, _CHUNK):
-        x = np.arange(lo, min(lo + _CHUNK, p), dtype=np.int64)
-        acc = np.full_like(x, cs[0])
-        for c in cs[1:]:
-            acc = (acc * x + c) % p
-        np.bitwise_or.at(buf, acc >> 3, np.uint8(1) << (acc & 7).astype(np.uint8))
-    return buf.tobytes()
+def _primitive_root(p: int) -> int:
+    """Least primitive root modulo an odd prime p, tested against the primes
+    of p - 1 found by trial division (under 46341 steps for p < 2^31)."""
+    n, primes, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 + (d > 2)
+    if n > 1:
+        primes.append(n)
+    return next(r for r in count(2) if all(pow(r, (p - 1) // s, p) != 1 for s in primes))
+
+
+def _subgroup(p: int, d: int, n: int):
+    """The n = (p - 1)/d elements of the subgroup of d-th powers in F_p^x, in
+    int64 chunks of at most _BLOCK, each a view of one reused buffer: 1..p-1
+    for d = 1, else h^lo * (h^0 .. h^(B-1)) for h = r^d, r a primitive root."""
+    size = min(n, _BLOCK)
+    y = np.empty(size, np.int64)
+    if d == 1:
+        base = np.arange(1, size + 1, dtype=np.int64)
+        for lo in range(0, n, size):
+            yield np.add(base[:n - lo], lo, out=y[:n - lo])
+        return
+    h = pow(_primitive_root(p), d, p)
+    pw = np.empty(size, np.int64)
+    pw[0], done = 1, 1
+    while done < size:  # doubling: h^done * pw[0:k] fills pw[done:done + k]
+        k = min(done, size - done)
+        np.multiply(pw[:k], pow(h, done, p), out=pw[done:done + k])
+        np.remainder(pw[done:done + k], p, out=pw[done:done + k])
+        done += k
+    for lo in range(0, n, size):
+        k = min(size, n - lo)
+        np.multiply(pw[:k], pow(h, lo, p), out=y[:k])
+        yield np.remainder(y[:k], p, out=y[:k])
 
 
 def compute_image(f: IntPoly, p: int) -> ImageMask:
-    """Exact image mask of f modulo p, every point evaluated (vectorized Horner)."""
+    """Exact image mask of f modulo p.  Mod p, f = g(x^m) with m the gcd of
+    the exponents i >= 1 whose coefficient p does not divide, so the image is
+    f(0) and g(H), H the subgroup of d-th powers in F_p^x, d = gcd(m, p - 1):
+    g is evaluated at the (p - 1)/d points of H by vectorized Horner and the
+    values marked in a p-byte scratch.  Raises InvalidInputError unless
+    2 <= p < 2^31, then ResourceCapError for p > MAX_MASK_PRIME unless f is
+    constant mod p (no scratch is needed for that)."""
     if not 2 <= p < MAX_PRIME:
         raise InvalidInputError(f"prime {p} outside supported range [2, 2^31)")
-    if f.degree < 1:
-        t = (f.coeffs[0] % p) if f.coeffs else 0
-        return ImageMask(p, 1 << t, 1)
-    bits = int.from_bytes(_horner_bits(f, p), "little")
+    cs = [c % p for c in f.coeffs]
+    exponents = [i for i, c in enumerate(cs) if i and c]
+    if not exponents:
+        return ImageMask(p, 1 << (cs[0] if cs else 0), 1)
+    m = math.gcd(*exponents)
+    d = math.gcd(m, p - 1)
+    n = (p - 1) // d
+    if p > MAX_MASK_PRIME:
+        raise ResourceCapError(
+            f"image mask at p={p} walks {n} points with a {p}-byte scratch; "
+            f"the cap is p <= {MAX_MASK_PRIME}")
+    g = cs[:exponents[-1] + 1:m]  # ascending coefficients of g, degree >= 1
+    hit = np.zeros(p, bool)
+    hit[cs[0]] = True
+    acc = np.empty(min(n, _BLOCK), np.int64)
+    for y in _subgroup(p, d, n):
+        a = acc[:len(y)]
+        np.multiply(y, g[-1], out=a)
+        a += g[-2]
+        np.remainder(a, p, out=a)
+        for c in reversed(g[:-2]):
+            np.multiply(a, y, out=a)
+            a += c
+            np.remainder(a, p, out=a)
+        hit[a] = True  # repeated values mark the same byte
+    bits = int.from_bytes(np.packbits(hit, bitorder="little"), "little")
     return ImageMask(p, bits, bits.bit_count())
 
 

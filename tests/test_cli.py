@@ -7,7 +7,7 @@ import sys
 import time
 from pathlib import Path
 
-from polyimage import cli
+from polyimage import cli, primeimage
 from polyimage.cli import main
 
 
@@ -118,6 +118,17 @@ def test_image_unfactorable_modulus_exit(capsys):
                          "--modulus", str((2**61 - 1) * (2**89 - 1)))
     assert code == 3 and "--primes" in err and not out
     assert time.perf_counter() - start < 10
+
+
+def test_image_mask_cap_exit(capsys, monkeypatch):
+    monkeypatch.setattr(primeimage, "MAX_MASK_PRIME", 1000)
+    code, out, err = run(capsys, "image", "--poly", "x^2", "--primes", "1009", "--workers", "1")
+    assert code == 3 and not out
+    assert err.strip() == ("resource cap: image mask at p=1009 walks 504 points with a "
+                           "1009-byte scratch; the cap is p <= 1000")
+    # a prime past 2^31 stays invalid input
+    code, out, err = run(capsys, "image", "--poly", "x^2", "--primes", "2147483659", "--workers", "1")
+    assert code == 2 and not out and "outside supported range" in err
 
 
 def test_internal_error_exit(capsys, monkeypatch):

@@ -47,6 +47,14 @@ def test_parse_modulus_large_factors():
         parse_modulus(p * p)
 
 
+def test_factor_past_trial_division():
+    # Brent rho finds the primes above the trial-division limit, squares too
+    assert composite._factor(999983 * 1000003) == [999983, 1000003]
+    for p in (999983, 10007):
+        with pytest.raises(NotSquareFreeError, match="not square-free"):
+            parse_modulus(p * p)
+
+
 def test_miller_rabin_agrees_with_trial_division():
     def slow(n):
         if n < 2:
@@ -108,7 +116,7 @@ def test_enumerate_eight_prime_modulus():
 
 def test_enumerate_cap():
     # refused at the call, before any chunk is asked for
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match="q=105 exceeds the 64-residue enumeration cap"):
         enumerate_image(parse_poly("x^2"), parse_modulus(105), cap_bits=64)
 
 

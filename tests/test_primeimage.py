@@ -1,5 +1,6 @@
 """Per-prime images, joint counts, anomaly scans."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -37,7 +38,10 @@ def primes_upto(n):
 
 
 def image_bits(ts):
-    return sum(1 << t for t in ts)
+    buf = bytearray(max(ts, default=0) // 8 + 1)
+    for t in ts:
+        buf[t >> 3] |= 1 << (t & 7)
+    return int.from_bytes(buf, "little")
 
 
 def test_image_examples():
@@ -63,12 +67,63 @@ def test_image_out_of_range():
         compute_image(parse_poly("x^2"), 1 << 31)
 
 
-def test_image_matches_oracle():
-    for f in CORPUS:
-        for p in primes_upto(200) + [1009, 10007]:
+# each reduction f = g(x^m) of the mask builder: m = 4 and 6 with g = y; m = 3
+# with g of degree 2; m = 2 except at p = 7, where x^6 + 7x^2 is x^6; and a
+# polynomial that is constant mod 5
+IMAGE_CORPUS = CORPUS + [parse_poly(t) for t in
+                         ("x^4", "x^6", "3x^6+5x^3+1", "x^6+7x^2", "5x^3+5x+2")]
+
+
+def _assert_images_match_oracle(primes):
+    for f in IMAGE_CORPUS:
+        for p in primes:
             m = compute_image(f, p)
             expected = brute_image(f, p)
             assert m.bits == image_bits(expected) and m.count == len(expected), (f, p)
+
+
+def test_image_matches_oracle():
+    # every class of gcd(m, p - 1), p <= deg f, p = 2 and 3
+    _assert_images_match_oracle(primes_upto(200) + [1009, 10007])
+
+
+def test_image_matches_oracle_across_chunks(monkeypatch):
+    # chunks of 5 subgroup points end at every phase of both walks
+    monkeypatch.setattr(primeimage, "_BLOCK", 5)
+    _assert_images_match_oracle(primes_upto(60))
+
+
+def test_image_walk_crosses_chunk_boundary():
+    # x^2 + 1 = g(x^2) walks the (p - 1)/2 = 2^18 + 10 squares in two chunks
+    f, p = parse_poly("x^2+1"), 524309
+    assert (p - 1) // 2 > primeimage._BLOCK
+    m = compute_image(f, p)
+    expected = brute_image(f, p)
+    assert m.bits == image_bits(expected) and m.count == len(expected)
+
+
+def test_monomial_image_size_closed_form():
+    # |image of x^m| = 1 + (p - 1)/gcd(m, p - 1); p = 5 mod 12 gives gcds 2, 1, 4, 2
+    p = 10000121
+    for m in (2, 3, 4, 6):
+        assert compute_image(IntPoly.from_coeffs([0] * m + [1]), p).count == \
+            1 + (p - 1) // math.gcd(m, p - 1), m
+
+
+def _no_scratch(*args, **kwargs):
+    raise AssertionError("scratch allocated")
+
+
+def test_mask_cap_before_scratch(monkeypatch):
+    # p >= 2^31 is invalid input whatever the cap; above the cap a p-byte
+    # scratch is refused, unless f is constant mod p and needs none
+    monkeypatch.setattr(primeimage, "MAX_MASK_PRIME", 100)
+    monkeypatch.setattr(np, "zeros", _no_scratch)
+    with pytest.raises(InvalidInputError):
+        compute_image(parse_poly("x^2"), 1 << 31)
+    with pytest.raises(ResourceCapError, match="p=103 walks 51 points with a 103-byte scratch"):
+        compute_image(parse_poly("x^2"), 103)
+    assert compute_image(parse_poly("103x^2+5"), 103) == primeimage.ImageMask(103, 1 << 5, 1)
 
 
 def test_joint_count_examples():
