@@ -6,6 +6,8 @@ require touching all q residues.  Spacing statistics read the image itself,
 streamed in sorted chunks under a configurable cap on q, by CRT windows: a
 window of Q_A residues (Q_A <= 2^18, the smallest primes) keeps the a in the
 image mod Q_A whose bit is set in the packed q/Q_A-bit image mod the rest.
+That image is held in window order, so one 8-byte load answers 56
+consecutive windows for one a.
 
 Factorization of user-supplied q is best effort: trial division to 10^4, then
 Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
@@ -17,9 +19,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -163,52 +164,94 @@ def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> in
     return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
 
 
-# bounds on Q_A and on the candidates a chunk tests (2^18 candidates was slower)
+# bounds on Q_A and on the candidates a chunk tests (2^18 candidates was slower),
+# and the bits a step of _scaled_bits gathers
 _A_RESIDUES = 1 << 18
 _CHUNK_CANDIDATES = 1 << 17
+_SCALE_BLOCK = 1 << 12
 
 
-def _packed_image(masks: list[ImageMask], n: int) -> np.ndarray:
-    """The residues mod n = prod(p) in every mask's image, as at least n bits
-    in little-endian 64-bit words: each mask's bits doubled to cover n, ANDed."""
+def _scaled_bits(mask: ImageMask, c: int) -> int:
+    """Bit j < p set iff c*j mod p is in the image, gathered _SCALE_BLOCK bits
+    at a time from the packed mask, so no byte per residue is ever held."""
+    p = mask.p
+    if c == 1:
+        return mask.bits
+    packed = np.frombuffer(mask.bits.to_bytes((p + 7) // 8, "little"), np.uint8)
+    out = np.empty((p + 7) // 8, np.uint8)
+    steps = np.arange(_SCALE_BLOCK) * c
+    for j in range(0, p, _SCALE_BLOCK):
+        i = (steps[:p - j] + j * c) % p  # c, j < p < 2^31: no overflow
+        bits = packed[i >> 3] >> (i & 7).astype(np.uint8)
+        out[j >> 3:(j + len(i) + 7) >> 3] = np.packbits(bits & 1, bitorder="little")
+    del packed  # before int.from_bytes copies out
+    return int.from_bytes(out, "little")
+
+
+def _packed_image(masks: list[ImageMask], n: int, scale: int) -> bytes:
+    """The residues mod n = prod(p) in every mask's image, in scaled order:
+    bit k set iff scale*k mod n is in the image, for k < n, then zero bits
+    to 8 bytes past the n-th.  Each mask is scaled (as it is when scale is 1
+    mod p), doubled to cover n and ANDed, so one prime holds one n-bit copy."""
     acc = None if masks else 1
     for mask in masks:
-        bits, length = mask.bits, mask.p
+        bits, length = _scaled_bits(mask, scale % mask.p), mask.p
         while length < n:
             bits, length = bits | bits << length, 2 * length
         acc = bits if acc is None else acc & bits
-    return np.frombuffer(acc.to_bytes((max(acc.bit_length(), n) + 63) // 64 * 8, "little"), "<i8")
+    if acc.bit_length() > n:
+        acc &= (1 << n) - 1
+    return acc.to_bytes((n + 7) // 8 + 8, "little")
 
 
 def _crt_windows(masks: list[ImageMask], q: int):
     """The image in windows [k*Q_A, (k+1)*Q_A), A the longest prefix of the
-    ascending primes with Q_A <= _A_RESIDUES and B the rest: k*Q_A + a, a in
-    the image mod Q_A, is in it iff bit (a + k*Q_A) mod Q_B of the image mod
-    Q_B is set.  For k = k0 + t that is (a + k0*Q_A) mod Q_B + t*Q_A mod Q_B,
-    wrapped once at most.  A chunk spans under 2^31 residues."""
+    ascending primes with Q_A <= _A_RESIDUES and B the rest.  The image mod
+    Q_B is held in window order T (bit k set iff Q_A*k mod Q_B is in it), so
+    k*Q_A + a, a in the image mod Q_A, is in the image iff bit (k + a*u) mod
+    Q_B of T is set, u = Q_A^-1 mod Q_B: one unaligned 8-byte load gives a's
+    bits for 56 consecutive windows.  A load covers 56*blocks windows, a
+    chunk 8*rows windows and under 2^31 residues."""
     split, qa = 0, 1
     while split < len(masks) and qa * masks[split].p <= _A_RESIDUES:
         qa *= masks[split].p
         split += 1
     qb, u64 = q // qa, np.uint64
-    ia = np.flatnonzero(np.unpackbits(_packed_image(masks[:split], qa).view(np.uint8),
+    ia = np.flatnonzero(np.unpackbits(np.frombuffer(_packed_image(masks[:split], qa, 1), np.uint8),
                                       count=qa, bitorder="little"))
-    table = _packed_image(masks[split:], qb)
-    width = min(qb, max(1, _CHUNK_CANDIDATES // len(ia)), ((1 << 31) - 1) // qa)
-    rows = np.arange(width)[:, None] * qa
-    candidates, steps = rows + ia, rows % qb
-    idx, tmp, word = np.empty((3,) + candidates.shape, np.int64)
-    hit = np.empty(candidates.shape, bool)
-    for k in range(0, qb, width):
-        i, t, w, h, s, c = (buf[:qb - k] for buf in (idx, tmp, word, hit, steps, candidates))
-        np.add(s, (ia + k * qa) % qb, out=i)
-        # i - qb < 0 is above i as unsigned; int64 indices keep take from converting
-        np.minimum(i.view(u64), np.subtract(i, qb, out=t).view(u64), out=i.view(u64))
-        np.take(table, np.right_shift(i, 6, out=t), out=w, mode="clip")
-        np.right_shift(w, np.bitwise_and(i, 63, out=t), out=w)
-        els = c.ravel()[np.flatnonzero(np.bitwise_and(w, 1, out=h, casting="unsafe"))]
-        if len(els):
-            yield els + k * qa
+    table = _packed_image(masks[split:], qb, qa)
+    words = np.ndarray((len(table) - 7,), "<u8", table, strides=(1,))  # word i: bits 8i..8i+63
+    head = int.from_bytes(table[:8], "little")  # T's first 64 bits, cyclically
+    head = u64(sum(head << s for s in range(0, 64, qb)) & (2**64 - 1))
+    n, span = len(ia), ((1 << 31) - 1) // qa
+    blocks = max(1, min(_CHUNK_CANDIDATES // (56 * n), span // 56, -(-qb // 56)))
+    rows = min(7 * blocks, max(1, _CHUNK_CANDIDATES // (8 * n)))
+    starts = 56 * np.arange(blocks)[:, None]
+    delta = ia * pow(qa, -1, qb) % qb
+    candidates = (np.arange(8 * rows, dtype=np.int32)[:, None] * qa + ia.astype(np.int32)).ravel()
+    off, tmp = np.empty((2, blocks, n), np.int64)
+    for k0 in range(0, qb, 56 * blocks):
+        # off - qb < 0 is above off as unsigned
+        np.add((starts + k0) % qb, delta, out=off)
+        np.minimum(off.view(u64), np.subtract(off, qb, out=tmp).view(u64), out=off.view(u64))
+        word = words[np.right_shift(off, 3, out=tmp)]  # np.take would copy the unaligned words
+        np.right_shift(word, np.bitwise_and(off, 7, out=tmp).view(u64), out=word)
+        # past Q_B a word reads zero padding, filled with head shifted up by the bits left
+        np.minimum(np.subtract(qb, off, out=tmp), 63, out=tmp)
+        word |= np.left_shift(head, tmp.view(u64), out=tmp.view(u64))
+        # byte j of block b holds windows k0 + 56b + 8j..+7: one row per byte
+        window_bytes = word.view(np.uint8).reshape(blocks, n, 8)[:, :, :7].transpose(0, 2, 1)
+        window_bytes = window_bytes.reshape(7 * blocks, n)
+        for r in range(0, 7 * blocks, rows):
+            k = k0 + 8 * r
+            if k >= qb:
+                break
+            # flatnonzero reads a bool view 4 times as fast as the uint8 bytes
+            hit = np.unpackbits(window_bytes[r:r + rows], axis=0, count=min(8 * rows, qb - k),
+                                bitorder="little")
+            els = candidates[np.flatnonzero(hit.view(bool))] + np.int64(k * qa)
+            if len(els):
+                yield els
 
 
 def enumerate_image(
@@ -218,10 +261,12 @@ def enumerate_image(
     workers: int = 1,
 ):
     """Sorted residues of the image of f modulo q (t with t mod p in the
-    image for every p | q), as an iterator of int64 arrays of about
-    _CHUNK_CANDIDATES candidates each; empty ranges are skipped.  CRT
-    windows (_crt_windows) make that about q/s_A candidate tests, and the
-    one object that grows with q is the image mod Q_B in q/Q_A packed bits.
+    image for every p | q), as an iterator of int64 arrays of whole windows,
+    about _CHUNK_CANDIDATES candidates each and at least 8 windows; empty
+    ranges are skipped.  CRT windows (_crt_windows) test q/s_A candidates at
+    one unpacked byte each, after one 8-byte load per element of the image
+    mod Q_A per 56 windows, and the one object that grows with q is the
+    image mod Q_B in q/Q_A packed bits.
     Refuses moduli beyond cap_bits at the call; correlation-style statistics
     stay available through the multiplicative path."""
     q = modulus.q

@@ -5,8 +5,10 @@ gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
 sum of products of neighbouring gaps -- which is filled in one pass over the
-image as composite.enumerate_image streams it in chunks of at most 2^18
-elements, so no per-gap array is ever held.  Everything stays rational until
+image as composite.enumerate_image streams it in chunks of whole windows.
+Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
+q/2^16, are kept and merged by one sort at the end, so neither a per-gap
+array nor a per-chunk table is held.  Everything stays rational until
 a statistic is inherently real-valued: the KS distance and histogram columns
 convert single gap values to floats at the last step.
 
@@ -39,6 +41,8 @@ from .polyarith import IntPoly
 from .primeimage import image_mask, joint_count
 
 DEFAULT_LATTICE_CAP = 4_000_000
+# gaps below this bound are counted in one table; fewer than q / bound lie above
+_SMALL_GAPS = 1 << 16
 
 
 @dataclass
@@ -69,15 +73,26 @@ def spacing_series(
     if composite_stats(f, modulus).s_q == 1:
         raise DegenerateInputError("degenerate: mean spacing 1")
     chunks = enumerate_image(f, modulus, cap_bits=cap_bits, workers=workers)
-    tables = []
+    small, large = np.zeros(_SMALL_GAPS, np.int64), [np.empty(0, np.int64)]
+
+    def tally(gaps):
+        if gaps.max() >= _SMALL_GAPS:
+            big = gaps >= _SMALL_GAPS
+            large.append(gaps[big])
+            gaps = gaps[~big]
+        counts = np.bincount(gaps)
+        small[:len(counts)] += counts
+
     count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
     first = last = head = None
     for els in chunks:
         count += len(els)
+        gaps = np.empty(len(els), np.int64)
+        np.subtract(els[1:], els[:-1], out=gaps[1:])
         if last is None:
-            first, gaps = int(els[0]), np.diff(els)
+            first, gaps = int(els[0]), gaps[1:]
         else:
-            gaps = np.diff(els, prepend=last)
+            gaps[0] = els[0] - last
         last = int(els[-1])
         if len(gaps):
             g0 = int(gaps[0])
@@ -86,15 +101,16 @@ def spacing_series(
             # the rest lie in one chunk of span < 2^31, so their sum is < 2^62
             lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
             prev = int(gaps[-1])
-            tables.append(np.unique(gaps, return_counts=True))
+            tally(gaps)
     if count < 2:
         raise DegenerateInputError("image has fewer than two elements")
     wrap = first + modulus.q - last
     lag_sum += prev * wrap + wrap * head
-    tables.append(([wrap], [1]))
-    values, where = np.unique(np.concatenate([v for v, _ in tables]), return_inverse=True)
-    counts = np.zeros(len(values), np.int64)
-    np.add.at(counts, where, np.concatenate([c for _, c in tables]))
+    tally(np.array([wrap]))
+    small_values = np.flatnonzero(small)
+    big_values, big_counts = np.unique(np.concatenate(large), return_counts=True)
+    values = np.concatenate([small_values, big_values])
+    counts = np.concatenate([small[small_values], big_counts])
     return SpacingSeries(modulus, count, values, counts, lag_sum)
 
 

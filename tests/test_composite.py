@@ -171,6 +171,37 @@ def test_enumerate_prime_holds_its_image_packed():
     assert peak < m.q // 4, peak  # twice the q/8-byte table
 
 
+def test_enumerate_scaled_table_holds_it_packed():
+    # Q_A = 3 and B = {1000003}: the table in window order reads the mask at
+    # 3*k mod p, built a block at a time, never a byte per residue
+    f = parse_poly("x^2")
+    m = parse_modulus([3, 1000003])
+    for p in m.primes:
+        image_mask(f, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
+        tracemalloc.start()
+        try:
+            count = sum(len(c) for c in enumerate_image(f, m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert count == composite_stats(f, m).omega_q_size
+    assert peak < m.q // 4, peak
+
+
+def test_enumerate_scaled_table_matches_oracle():
+    f = parse_poly("x^3+x+1")
+    m = parse_modulus([3, 100003])
+    assert elements(enumerate_image(f, m)) == brute_image(f, m.q)
+
+
+def test_packed_image_of_no_primes_is_residue_zero():
+    # an empty A has Q_A = 1 and I_A = [0]; an empty B a one-bit table
+    for scale in (1, 7):
+        assert composite._packed_image([], 1, scale) == b"\x01" + bytes(8)
+
+
 def test_enumerate_popcount_is_product():
     for f in CORPUS:
         for qv in (15, 105, 1155, 15015):

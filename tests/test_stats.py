@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyimage import composite
+from polyimage import composite, stats
 from polyimage.composite import enumerate_image, joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, ks_statistic_exponential
 from polyimage.polyarith import IntPoly, parse_poly
+from polyimage.primeimage import image_mask
 from polyimage.stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -77,16 +79,20 @@ SQUARE_FREE = [q for q in range(2, 3001) if all(q % (d * d) for d in range(2, 55
        q=st.sampled_from(SQUARE_FREE))
 def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
     # small chunks make every modulus span many chunks; A budgets of 1, 2, 30
-    # and the default give Q_A = 1, the splits between and, for small q, Q_B = 1
+    # and the default give Q_A = 1, the splits between and, for small q, Q_B = 1;
+    # small-gap bounds of 1 and 3 send every gap, or all but 1 and 2, to the
+    # large-gap path
     f = IntPoly(tuple(coeffs))
     image = brute_image(f, q)
     tables = []
     with pytest.MonkeyPatch.context() as mp:
         if chunk_candidates is not None:
             mp.setattr(composite, "_CHUNK_CANDIDATES", chunk_candidates)
-        for a_residues in (None, 1, 2, 30):
+        for a_residues, small_gaps in itertools.product((None, 1, 2, 30), (None, 1, 3)):
             if a_residues is not None:
                 mp.setattr(composite, "_A_RESIDUES", a_residues)
+            if small_gaps is not None:
+                mp.setattr(stats, "_SMALL_GAPS", small_gaps)
             if len(image) < 2 or len(image) == q:
                 with pytest.raises(DegenerateInputError):
                     spacing_series(f, parse_modulus(q))
@@ -123,6 +129,34 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
         assert corr == float(exact)
         g = np.array(gaps, np.float64)
         assert corr == pytest.approx(np.corrcoef(g, np.roll(g, -1))[0, 1], abs=1e-12)
+
+
+def test_gap_table_memory_is_bounded_across_chunks():
+    # Q_A = 1 and 8-candidate chunks split x^2 mod 81001 into over 10^4
+    # chunks; the gap table must not grow with them (a table per chunk
+    # peaked at 4.6 MB here)
+    f = parse_poly("x^2")
+    m = parse_modulus(81001)
+    image_mask(f, m.q)
+    chunks = []
+
+    def counted(*args, **kwargs):
+        for els in enumerate_image(*args, **kwargs):
+            chunks.append(len(els))
+            yield els
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composite, "_CHUNK_CANDIDATES", 8)
+        mp.setattr(composite, "_A_RESIDUES", 1)
+        mp.setattr(stats, "enumerate_image", counted)
+        tracemalloc.start()
+        try:
+            s = spacing_series(f, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(chunks) >= 10**4 and s.element_count == sum(chunks) == (m.q + 1) // 2
+    assert peak < 1 << 20, peak
 
 
 def test_ks_single_point():
