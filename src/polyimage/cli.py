@@ -1,14 +1,19 @@
 """Command-line front end.
 
+Each subcommand declares only the flags it reads, plus `--workers`, which
+every command accepts and only `image`, `spacings` and `verify` read.  A
+command reads the parsed argparse namespace and returns its exit code, its
+`result` payload and a human summary; `main` alone writes them out.
+
 Machine-first output: the JSON report goes to stdout (stable key order, so a
-fixed config produces byte-identical bytes; runs that differ only in
---workers give the same `result` payload, while `config` echoes the worker
-count), a short human summary goes to stderr, CSV histogram data goes to
---out.  Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource cap, 4 internal error (an unexpected exception, reported as one
-`internal error: <Type>: <message>` line on stderr).  A reader that closes
-stdout before the report is written is not an error: the command exits 0
-and stays silent.
+fixed command line produces byte-identical bytes; `config` echoes the parsed
+flags and the version, so runs that differ only in --workers give the same
+`result` payload but not the same `config`), the summary goes to stderr, and
+`spacings` writes its CSV or JSON histogram to --out.  Exit codes: 0 success,
+1 verification failure, 2 invalid input, 3 resource cap, 4 internal error
+(an unexpected exception, reported as one `internal error: <Type>: <message>`
+line on stderr).  A reader that closes stdout before the report is written
+is not an error: the command exits 0 and stays silent.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -49,7 +53,7 @@ from .stats import (
     ks_exponential,
     spacing_series,
 )
-from .verify import SUITES, anomaly_report
+from .verify import ANOMALY_THRESHOLD, SUITES, anomaly_report
 
 
 def _f12(x: float) -> float:
@@ -61,45 +65,6 @@ def _frac(fr: Fraction) -> dict:
     return {"ratio": f"{fr.numerator}/{fr.denominator}", "float": _f12(float(fr))}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    poly: str | None = None
-    modulus: int | None = None
-    primes: list[int] | None = None
-    prime: int | None = None
-    k: int | None = None
-    offsets: list[int] | None = None
-    window: str | None = None
-    bins: int = 50
-    cap_bits: int = DEFAULT_CAP_BITS
-    threshold: float = 5.0
-    workers: int = 1
-    seed: int = 0
-    out: str | None = None
-    format: str | None = None
-    suite: str | None = None
-
-    def as_dict(self) -> dict:
-        d = asdict(self)
-        d["version"] = __version__
-        return d
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in ("poly", "modulus", "prime", "k", "offsets", "window", "bins",
-                 "cap_bits", "threshold", "workers", "seed", "out", "format",
-                 "suite"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "primes", None):
-        cfg.primes = _int_list(args.primes, "--primes")
-    if isinstance(cfg.offsets, str):
-        cfg.offsets = _int_list(cfg.offsets, "--offsets")
-    return cfg
-
-
 def _int_list(text: str, flag: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -107,18 +72,18 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise InvalidInputError(f"{flag} needs comma-separated integers, got {text!r}") from exc
 
 
-def _require_poly(cfg: RunConfig) -> IntPoly:
-    if not cfg.poly:
+def _require_poly(args: argparse.Namespace) -> IntPoly:
+    if not args.poly:
         raise InvalidInputError("--poly is required")
-    return parse_poly(cfg.poly)
+    return parse_poly(args.poly)
 
 
-def _require_modulus(cfg: RunConfig) -> SquareFreeModulus:
-    if cfg.primes:
-        return parse_modulus(cfg.primes)
-    if cfg.modulus is None:
+def _require_modulus(args: argparse.Namespace) -> SquareFreeModulus:
+    if args.primes:
+        return parse_modulus(args.primes)
+    if args.modulus is None:
         raise InvalidInputError("--modulus or --primes is required")
-    return parse_modulus(cfg.modulus)
+    return parse_modulus(args.modulus)
 
 
 def _parse_window(text: str) -> CorrelationWindow:
@@ -132,17 +97,12 @@ def _parse_window(text: str) -> CorrelationWindow:
     return CorrelationWindow.box(*intervals)
 
 
-def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, sort_keys=True))
-    print(summary, file=sys.stderr)
-
-
 # commands --------------------------------------------------------------------
 
-def cmd_image(cfg: RunConfig) -> int:
-    f = _require_poly(cfg)
-    m = _require_modulus(cfg)
-    stats = composite_stats(f, m, workers=cfg.workers)
+def cmd_image(args: argparse.Namespace) -> tuple[int, dict, str]:
+    f = _require_poly(args)
+    m = _require_modulus(args)
+    stats = composite_stats(f, m, workers=args.workers)
     result = {
         "q": m.q,
         "primes": list(m.primes),
@@ -160,21 +120,19 @@ def cmd_image(cfg: RunConfig) -> int:
             for st in stats.per_prime
         ],
     }
-    _emit({"command": "image", "config": cfg.as_dict(), "result": result},
-          f"image of {cfg.poly} mod {m.q}: {stats.omega_q_size} elements, "
-          f"mean spacing {float(stats.s_q):.6g}")
-    return 0
+    return 0, result, (f"image of {args.poly} mod {m.q}: {stats.omega_q_size} elements, "
+                       f"mean spacing {float(stats.s_q):.6g}")
 
 
-def cmd_correlate(cfg: RunConfig) -> int:
-    f = _require_poly(cfg)
-    m = _require_modulus(cfg)
-    if not cfg.window:
+def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
+    f = _require_poly(args)
+    m = _require_modulus(args)
+    if not args.window:
         raise InvalidInputError("--window is required")
-    window = _parse_window(cfg.window)
-    if cfg.k is not None and cfg.k != window.dimension + 1:
+    window = _parse_window(args.window)
+    if args.k is not None and args.k != window.dimension + 1:
         raise InvalidInputError(
-            f"--k {cfg.k} conflicts with a {window.dimension}-interval window"
+            f"--k {args.k} conflicts with a {window.dimension}-interval window"
         )
     res = correlation(f, m, window)
     result = {
@@ -187,19 +145,17 @@ def cmd_correlate(cfg: RunConfig) -> int:
         "excluded_points": res.excluded,
         "q1": list(res.modulus_used.primes),
     }
-    _emit({"command": "correlate", "config": cfg.as_dict(), "result": result},
-          f"R_{res.k} = {float(res.value):.6g} vs vol {float(res.volume):.6g} "
-          f"({res.lattice_points} lattice points)")
-    return 0
+    return 0, result, (f"R_{res.k} = {float(res.value):.6g} vs vol {float(res.volume):.6g} "
+                       f"({res.lattice_points} lattice points)")
 
 
-def cmd_spacings(cfg: RunConfig) -> int:
-    f = _require_poly(cfg)
-    m = _require_modulus(cfg)
-    series = spacing_series(f, m, cap_bits=cfg.cap_bits, workers=cfg.workers)
+def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
+    f = _require_poly(args)
+    m = _require_modulus(args)
+    series = spacing_series(f, m, cap_bits=args.cap_bits, workers=args.workers)
     ks = ks_exponential(series)
     corr = adjacent_gap_correlation(series)
-    hist = histogram_normalized(series, bins=cfg.bins)
+    hist = histogram_normalized(series, bins=args.bins)
     result = {
         "q": m.q,
         "omega_size": series.element_count,
@@ -211,12 +167,10 @@ def cmd_spacings(cfg: RunConfig) -> int:
         },
     }
     rows = _histogram_rows(hist)
-    if cfg.out:
-        _write_out(cfg, rows, result)
-    _emit({"command": "spacings", "config": cfg.as_dict(), "result": result},
-          f"{series.element_count} gaps, KS {ks.statistic:.4f}, "
-          f"adjacent correlation {corr:.4f}")
-    return 0
+    if args.out:
+        _write_out(args, rows, result)
+    return 0, result, (f"{series.element_count} gaps, KS {ks.statistic:.4f}, "
+                       f"adjacent correlation {corr:.4f}")
 
 
 def _histogram_rows(hist) -> list[dict]:
@@ -244,13 +198,13 @@ def _histogram_rows(hist) -> list[dict]:
     return rows
 
 
-def _write_out(cfg: RunConfig, rows: list[dict], result: dict) -> None:
+def _write_out(args: argparse.Namespace, rows: list[dict], result: dict) -> None:
     try:
-        fh = open(cfg.out, "w", newline="")
+        fh = open(args.out, "w", newline="")
     except OSError as exc:
-        raise InvalidInputError(f"cannot write --out {cfg.out}: {exc.strerror}") from exc
+        raise InvalidInputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     with fh:
-        if cfg.format == "csv":
+        if args.format == "csv":
             writer = csv.DictWriter(
                 fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
             )
@@ -266,8 +220,8 @@ def _require_prime(p: int) -> int:
     return p
 
 
-def cmd_critical(cfg: RunConfig) -> int:
-    f = _require_poly(cfg)
+def cmd_critical(args: argparse.Namespace) -> tuple[int, dict, str]:
+    f = _require_poly(args)
     c = critical_value_poly(f)
     inf = critical_diffs_infinity(f)
     result = {
@@ -276,8 +230,8 @@ def cmd_critical(cfg: RunConfig) -> int:
                           "text": poly_to_text(c, var="y")},
         "critical_diffs_integers": list(inf.elements),
     }
-    if cfg.prime is not None:
-        p = _require_prime(cfg.prime)
+    if args.prime is not None:
+        p = _require_prime(args.prime)
         obs = critical_diffs_mod(f, p)
         entry = {"p": p, "elements": list(obs.elements), "approximate": obs.approximate}
         try:
@@ -286,22 +240,20 @@ def cmd_critical(cfg: RunConfig) -> int:
         except InvalidInputError:
             entry["critical_poly_coeffs"] = None
         result["critical_diffs_mod_p"] = entry
-    _emit({"command": "critical", "config": cfg.as_dict(), "result": result},
-          f"critical structure of {cfg.poly}: integer diffs {list(inf.elements)}")
-    return 0
+    return 0, result, f"critical structure of {args.poly}: integer diffs {list(inf.elements)}"
 
 
-def cmd_nk(cfg: RunConfig) -> int:
-    f = _require_poly(cfg)
-    m = _require_modulus(cfg)
-    if not cfg.offsets:
+def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
+    f = _require_poly(args)
+    m = _require_modulus(args)
+    if not args.offsets:
         raise InvalidInputError("--offsets is required")
-    k = len(cfg.offsets) + 1
+    k = len(args.offsets) + 1
     total = 1
     per_prime = []
     for p in m.primes:
         mask = image_mask(f, p)
-        count = joint_count(mask, cfg.offsets)
+        count = joint_count(mask, args.offsets)
         total *= count
         per_prime.append({
             "p": p,
@@ -309,32 +261,29 @@ def cmd_nk(cfg: RunConfig) -> int:
             "expected": _frac(expected_joint_count(p, Fraction(p, mask.count), k)),
             "error": _frac(joint_count_error(mask, count, k)),
         })
-    result = {"q": m.q, "k": k, "offsets": cfg.offsets, "joint_count": total,
+    result = {"q": m.q, "k": k, "offsets": args.offsets, "joint_count": total,
               "per_prime": per_prime}
-    _emit({"command": "nk", "config": cfg.as_dict(), "result": result},
-          f"N_{k}({cfg.offsets}, {m.q}) = {total}")
-    return 0
+    return 0, result, f"N_{k}({args.offsets}, {m.q}) = {total}"
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.suite not in SUITES:
-        raise InvalidInputError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    if cfg.suite == "anomaly" and cfg.poly and cfg.prime:
-        checks = [anomaly_report(_require_poly(cfg), _require_prime(cfg.prime), cfg.threshold)]
+def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
+    if args.suite not in SUITES:
+        raise InvalidInputError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+    if args.poly is None and args.prime is None:
+        checks = SUITES[args.suite](args.seed, args.workers)
+    elif args.suite == "anomaly" and args.poly is not None and args.prime is not None:
+        checks = [anomaly_report(_require_poly(args), _require_prime(args.prime), args.threshold)]
     else:
-        checks = SUITES[cfg.suite](seed=cfg.seed, workers=cfg.workers)
+        raise InvalidInputError("--poly and --prime go together and only with the anomaly suite: "
+                                "verify anomaly --poly F --prime p")
     passed = all(c.passed for c in checks)
     result = {
-        "suite": cfg.suite,
+        "suite": args.suite,
         "passed": passed,
         "checks": [{"name": c.name, "passed": c.passed, "details": _jsonable(c.details)}
                    for c in checks],
     }
-    for c in checks:
-        print(c.line(), file=sys.stderr)
-    print(json.dumps({"command": "verify", "config": cfg.as_dict(),
-                      "result": result}, sort_keys=True))
-    return 0 if passed else 1
+    return 0 if passed else 1, result, "\n".join(c.line() for c in checks)
 
 
 def _jsonable(obj):
@@ -360,43 +309,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, poly=True, modulus=True):
-        if poly:
-            p.add_argument("--poly", help="polynomial in x, e.g. x^4-2x^2")
+    def command(name, help, *, modulus=True):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--poly", help="polynomial in x, e.g. x^4-2x^2")
         if modulus:
             p.add_argument("--modulus", type=int, help="square-free modulus")
             p.add_argument("--primes", help="comma-separated prime list")
         p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="write CSV/JSON data to this path")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+        return p
 
-    p = sub.add_parser("image", help="image size and per-prime statistics")
-    common(p)
+    command("image", "image size and per-prime statistics")
 
-    p = sub.add_parser("correlate", help="k-level correlation over a window")
-    common(p)
+    p = command("correlate", "k-level correlation over a window")
     p.add_argument("--k", type=int)
     p.add_argument("--window", help="a:b[,a:b...] with rational endpoints")
 
-    p = sub.add_parser("spacings", help="gap statistics and KS test")
-    common(p)
+    p = command("spacings", "gap statistics and KS test")
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--cap-bits", dest="cap_bits", type=int, default=DEFAULT_CAP_BITS)
+    p.add_argument("--out", help="write the gap histogram to this path")
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
 
-    p = sub.add_parser("critical", help="critical values and obstruction sets")
-    common(p, modulus=False)
+    p = command("critical", "critical values and obstruction sets", modulus=False)
     p.add_argument("--prime", type=int)
 
-    p = sub.add_parser("nk", help="joint image count for explicit offsets")
-    common(p)
+    p = command("nk", "joint image count for explicit offsets")
     p.add_argument("--offsets", help="comma-separated integer offsets")
 
-    p = sub.add_parser("verify", help="run a verification suite")
+    p = command("verify", "run a verification suite", modulus=False)
     p.add_argument("suite", help="|".join(sorted(SUITES)))
-    common(p, modulus=False)
     p.add_argument("--prime", type=int)
-    p.add_argument("--threshold", type=float, default=5.0)
+    p.add_argument("--threshold", type=float, default=ANOMALY_THRESHOLD)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -414,10 +358,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.format is None:
-            cfg.format = "csv" if cfg.command == "spacings" else "json"
-        code = _COMMANDS[cfg.command](cfg)
+        for name in ("primes", "offsets"):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, _int_list(getattr(args, name), f"--{name}"))
+        code, result, summary = _COMMANDS[args.command](args)
+        config = dict(vars(args), version=__version__)
+        print(json.dumps({"command": args.command, "config": config, "result": result},
+                         sort_keys=True))
+        print(summary, file=sys.stderr)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -59,7 +59,7 @@ class ImageMask:
         h %= self.p
         if h == 0:
             return self.bits
-        return (self.bits >> h | self.bits << (self.p - h)) & _full_mask(self.p)
+        return self.bits >> h | (self.bits & ((1 << h) - 1)) << (self.p - h)
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,6 @@ class PrimeStats:
     s_p: Fraction
     is_permutation: bool
     wan_ok: bool
-
-
-@lru_cache(maxsize=512)
-def _full_mask(p: int) -> int:
-    return (1 << p) - 1
 
 
 def _primitive_root(p: int) -> int:

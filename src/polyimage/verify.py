@@ -353,47 +353,19 @@ def check_c0_bound() -> CheckResult:
 
 # suites ---------------------------------------------------------------------
 
-def suite_identities(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_square_count(), check_zero_average(), check_eps_mass(workers)]
-
-
-def suite_wan(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_wan_bound()]
-
-
-def suite_multiplicativity(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_crt_multiplicativity(seed)]
-
-
-def suite_davenport(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_davenport()]
-
-
-def suite_anomaly(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_anomaly_constants(seed), check_anomaly_localization()]
-
-
-def suite_poisson(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_poisson(workers)]
-
-
-def suite_correlation(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_correlation_convergence(), check_permutation_reduction()]
-
-
-def suite_c0(seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    return [check_c0_bound()]
-
-
+# suite name -> the checks `verify <suite>` runs, given --seed and --workers
 SUITES = {
-    "identities": suite_identities,
-    "wan": suite_wan,
-    "multiplicativity": suite_multiplicativity,
-    "davenport": suite_davenport,
-    "anomaly": suite_anomaly,
-    "poisson": suite_poisson,
-    "correlation": suite_correlation,
-    "c0": suite_c0,
+    "identities": lambda seed, workers: [check_square_count(), check_zero_average(),
+                                         check_eps_mass(workers)],
+    "wan": lambda seed, workers: [check_wan_bound()],
+    "multiplicativity": lambda seed, workers: [check_crt_multiplicativity(seed)],
+    "davenport": lambda seed, workers: [check_davenport()],
+    "anomaly": lambda seed, workers: [check_anomaly_constants(seed),
+                                      check_anomaly_localization()],
+    "poisson": lambda seed, workers: [check_poisson(workers)],
+    "correlation": lambda seed, workers: [check_correlation_convergence(),
+                                          check_permutation_reduction()],
+    "c0": lambda seed, workers: [check_c0_bound()],
 }
 
 

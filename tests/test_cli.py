@@ -1,11 +1,14 @@
 """CLI contract: reports, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from polyimage import cli, primeimage
 from polyimage.cli import main
@@ -24,6 +27,9 @@ def test_image_command(capsys):
     assert report["result"]["omega_size"] == 24
     assert report["result"]["s_q"] == {"ratio": "35/8", "float": 4.375}
     assert report["config"]["version"]
+    # config echoes the command's own flags, no more
+    assert sorted(report["config"]) == ["command", "modulus", "poly", "primes", "version",
+                                        "workers"]
 
 
 def test_image_permutation_flag(capsys):
@@ -82,6 +88,34 @@ def test_spacings_resource_cap_exit(capsys):
     code, _, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
                        "--cap-bits", "16")
     assert code == 3 and "cap" in err
+
+
+def test_unread_flags_are_rejected(capsys, tmp_path):
+    # each subcommand declares only the flags it reads
+    out_path = tmp_path / "hist.csv"
+    for argv in (["image", "--poly", "x^2", "--modulus", "105", "--out", str(out_path)],
+                 ["critical", "--poly", "x^4-2x^2", "--seed", "3"],
+                 ["nk", "--poly", "x^2", "--modulus", "105", "--offsets", "1",
+                  "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and "unrecognized arguments" in err, argv
+    assert not out_path.exists()
+
+
+def test_bench_command_lines_parse():
+    # every command line the benchmark runs must stay accepted by the parser
+    path = Path(__file__).resolve().parents[1] / "bench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("_bench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    parser = cli.build_parser()
+    for workload in ops.WORKLOADS:
+        for op in ops.build(workload, 0):
+            args = parser.parse_args(op["argv"])
+            assert args.command == op["argv"][0] and args.workers == 1
 
 
 def test_critical_command(capsys):
@@ -233,6 +267,13 @@ def test_verify_anomaly_single_prime(capsys):
     check = json.loads(out)["result"]["checks"][0]
     assert check["details"]["residue_class"] == 1
     assert check["details"]["class_constant"] == "2/3"
+    # --poly and --prime select this report together, and only for the anomaly suite
+    for argv in (["verify", "poisson", "--poly", "x^2", "--prime", "7"],
+                 ["verify", "anomaly", "--poly", "x^4-2x^2"],
+                 ["verify", "anomaly", "--prime", "13"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "--poly" in err and "--prime" in err, argv
 
 
 def test_reports_byte_identical_across_workers(capsys):
