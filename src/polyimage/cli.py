@@ -152,6 +152,8 @@ def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
 def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = _require_poly(args)
     m = _require_modulus(args)
+    if args.format is not None and not args.out:
+        raise InvalidInputError("--format chooses the file --out writes; give --out too")
     series = spacing_series(f, m, cap_bits=args.cap_bits, workers=args.workers)
     ks = ks_exponential(series)
     corr = adjacent_gap_correlation(series)
@@ -204,14 +206,14 @@ def _write_out(args: argparse.Namespace, rows: list[dict], result: dict) -> None
     except OSError as exc:
         raise InvalidInputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     with fh:
-        if args.format == "csv":
+        if args.format == "json":
+            json.dump({"histogram": rows, "summary": result}, fh, sort_keys=True)
+        else:
             writer = csv.DictWriter(
                 fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
             )
             writer.writeheader()
             writer.writerows(rows)
-        else:
-            json.dump({"histogram": rows, "summary": result}, fh, sort_keys=True)
 
 
 def _require_prime(p: int) -> int:
@@ -269,13 +271,17 @@ def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
 def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     if args.suite not in SUITES:
         raise InvalidInputError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    if args.poly is None and args.prime is None:
-        checks = SUITES[args.suite](args.seed, args.workers)
-    elif args.suite == "anomaly" and args.poly is not None and args.prime is not None:
-        checks = [anomaly_report(_require_poly(args), _require_prime(args.prime), args.threshold)]
-    else:
+    if args.suite == "anomaly" and args.poly is not None and args.prime is not None:
+        threshold = ANOMALY_THRESHOLD if args.threshold is None else args.threshold
+        checks = [anomaly_report(_require_poly(args), _require_prime(args.prime), threshold)]
+    elif args.poly is not None or args.prime is not None:
         raise InvalidInputError("--poly and --prime go together and only with the anomaly suite: "
                                 "verify anomaly --poly F --prime p")
+    elif args.threshold is not None:
+        raise InvalidInputError("--threshold is read only by the single-prime report: "
+                                "verify anomaly --poly F --prime p --threshold c")
+    else:
+        checks = SUITES[args.suite](args.seed, args.workers)
     passed = all(c.passed for c in checks)
     result = {
         "suite": args.suite,
@@ -328,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=50)
     p.add_argument("--cap-bits", dest="cap_bits", type=int, default=DEFAULT_CAP_BITS)
     p.add_argument("--out", help="write the gap histogram to this path")
-    p.add_argument("--format", choices=["json", "csv"], default="csv")
+    p.add_argument("--format", choices=["json", "csv"], help="with --out; default csv")
 
     p = command("critical", "critical values and obstruction sets", modulus=False)
     p.add_argument("--prime", type=int)
@@ -339,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify", "run a verification suite", modulus=False)
     p.add_argument("suite", help="|".join(sorted(SUITES)))
     p.add_argument("--prime", type=int)
-    p.add_argument("--threshold", type=float, default=ANOMALY_THRESHOLD)
+    p.add_argument("--threshold", type=float,
+                   help=f"with --poly and --prime; default {ANOMALY_THRESHOLD}")
     p.add_argument("--seed", type=int, default=0)
 
     return parser

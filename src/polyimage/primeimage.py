@@ -5,8 +5,11 @@ single Python int (bit t set iff t is hit by f), with the popcount cached.
 It is built from the reduction f = g(x^m) mod p: the image is f(0) and
 g(H), H the subgroup of d-th powers in F_p^x with d = gcd(m, p - 1), so g
 is evaluated at (p - 1)/d points, walked as powers of r^d for a primitive
-root r.  The values are marked in a p-byte scratch and packed into bits;
-MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.
+root r, in chunks of _BLOCK = 2^14 points whose int64 buffers stay in L2.
+Each step reduces by a floor division (a - (a // p) * p) rather than
+np.remainder, and Horner skips the steps that do nothing, so a monomial
+costs no Horner pass.  The values are marked in a p-byte scratch and packed
+into bits; MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.
 Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
 which is what makes prime-by-prime scans cheap.  This module owns that
@@ -38,7 +41,7 @@ MAX_PRIME = 1 << 31
 # Largest prime compute_image builds a mask for: the build marks the image in
 # a p-byte scratch, 256 MiB at the cap, beside the p/8-byte packed mask.
 MAX_MASK_PRIME = 1 << 28
-_BLOCK = 1 << 18  # subgroup points per vectorized Horner pass
+_BLOCK = 1 << 14  # subgroup points per vectorized Horner pass: 128 KiB of int64
 # Largest transform pair_counts takes: n = 2^24 serves every p < 2^23.  numpy's
 # rfft holds about 24 * n bytes (padded float64 input, its working copy and
 # the spectrum), so the peak is about 32 * n bytes: 550 MB and 4 s as a
@@ -86,39 +89,76 @@ def _primitive_root(p: int) -> int:
     return next(r for r in count(2) if all(pow(r, (p - 1) // s, p) != 1 for s in primes))
 
 
-def _subgroup(p: int, d: int, n: int):
+def _reduce(a: np.ndarray, p: int, quot: np.ndarray) -> np.ndarray:
+    """a mod p in place, as a - (a // p) * p through the int64 buffer quot of
+    a's length; exact for 0 <= a < 2^63.  numpy divides an int64 array by a
+    scalar about twice as fast as np.remainder reduces it."""
+    np.floor_divide(a, p, out=quot)
+    np.multiply(quot, p, out=quot)
+    return np.subtract(a, quot, out=a)
+
+
+def _subgroup(p: int, d: int, n: int, quot: np.ndarray):
     """The n = (p - 1)/d elements of the subgroup of d-th powers in F_p^x, in
-    int64 chunks of at most _BLOCK, each a view of one reused buffer: 1..p-1
-    for d = 1, else h^lo * (h^0 .. h^(B-1)) for h = r^d, r a primitive root."""
-    size = min(n, _BLOCK)
-    y = np.empty(size, np.int64)
+    int64 chunks of len(quot) (the last may be shorter), each a view of one
+    buffer that is advanced in place after it is consumed: 1..p-1 for d = 1,
+    else h^0, h^1, ... for h = r^d, r a primitive root, each chunk the last
+    times h^len(quot).  quot is the reduction buffer, free between chunks."""
+    size = len(quot)
     if d == 1:
-        base = np.arange(1, size + 1, dtype=np.int64)
-        for lo in range(0, n, size):
-            yield np.add(base[:n - lo], lo, out=y[:n - lo])
-        return
-    h = pow(_primitive_root(p), d, p)
-    pw = np.empty(size, np.int64)
-    pw[0], done = 1, 1
-    while done < size:  # doubling: h^done * pw[0:k] fills pw[done:done + k]
-        k = min(done, size - done)
-        np.multiply(pw[:k], pow(h, done, p), out=pw[done:done + k])
-        np.remainder(pw[done:done + k], p, out=pw[done:done + k])
-        done += k
+        y = np.arange(1, size + 1, dtype=np.int64)
+    else:
+        h = pow(_primitive_root(p), d, p)
+        y = np.empty(size, np.int64)
+        y[0], done = 1, 1
+        while done < size:  # doubling: h^done * y[0:k] fills y[done:done + k]
+            k = min(done, size - done)
+            _reduce(np.multiply(y[:k], pow(h, done, p), out=y[done:done + k]), p, quot[:k])
+            done += k
+        step = pow(h, size, p)
     for lo in range(0, n, size):
-        k = min(size, n - lo)
-        np.multiply(pw[:k], pow(h, lo, p), out=y[:k])
-        yield np.remainder(y[:k], p, out=y[:k])
+        if lo and d == 1:
+            y += size
+        elif lo:
+            _reduce(np.multiply(y, step, out=y), p, quot)
+        yield y[:n - lo]
+
+
+def _mark_image(g: list[int], p: int, d: int, n: int) -> np.ndarray:
+    """The p-byte scratch with g(H) marked, H the n = (p - 1)/d subgroup
+    points.  Horner runs over each chunk of the walk, skipping the steps that
+    do nothing: the multiply by a leading coefficient of 1 and the add for a
+    zero coefficient, and the reduction of a step that did neither.  So for
+    g = y the walk values are the image with no pass at all.  Values stay
+    below p^2 + p < 2^57 before each reduction."""
+    hit = np.zeros(p, bool)
+    quot = np.empty(min(n, _BLOCK), np.int64)
+    acc = np.empty_like(quot)
+    lead, rest = g[-1], g[-2::-1]
+    for y in _subgroup(p, d, n, quot):
+        k = len(y)
+        a = y
+        for i, c in enumerate(rest):
+            if i or lead != 1:
+                a = np.multiply(a, y if i else lead, out=acc[:k])
+            if c:
+                a = np.add(a, c, out=acc[:k])
+            if a is not y:
+                _reduce(a, p, quot[:k])
+        hit[a] = True  # repeated values mark the same byte
+    return hit
 
 
 def compute_image(f: IntPoly, p: int) -> ImageMask:
     """Exact image mask of f modulo p.  Mod p, f = g(x^m) with m the gcd of
     the exponents i >= 1 whose coefficient p does not divide, so the image is
     f(0) and g(H), H the subgroup of d-th powers in F_p^x, d = gcd(m, p - 1):
-    g is evaluated at the (p - 1)/d points of H by vectorized Horner and the
-    values marked in a p-byte scratch.  Raises InvalidInputError unless
-    2 <= p < 2^31, then ResourceCapError for p > MAX_MASK_PRIME unless f is
-    constant mod p (no scratch is needed for that)."""
+    g is evaluated at the (p - 1)/d points of H by vectorized Horner in
+    chunks of _BLOCK, whose int64 buffers (the walk, Horner's accumulator and
+    the quotient of the reduction) stay in L2, and the values are marked in a
+    p-byte scratch.  Raises InvalidInputError unless 2 <= p < 2^31, then
+    ResourceCapError for p > MAX_MASK_PRIME unless f is constant mod p (no
+    scratch is needed for that)."""
     if not 2 <= p < MAX_PRIME:
         raise InvalidInputError(f"prime {p} outside supported range [2, 2^31)")
     cs = [c % p for c in f.coeffs]
@@ -132,20 +172,8 @@ def compute_image(f: IntPoly, p: int) -> ImageMask:
         raise ResourceCapError(
             f"image mask at p={p} walks {n} points with a {p}-byte scratch; "
             f"the cap is p <= {MAX_MASK_PRIME}")
-    g = cs[:exponents[-1] + 1:m]  # ascending coefficients of g, degree >= 1
-    hit = np.zeros(p, bool)
+    hit = _mark_image(cs[:exponents[-1] + 1:m], p, d, n)  # g ascending, degree >= 1
     hit[cs[0]] = True
-    acc = np.empty(min(n, _BLOCK), np.int64)
-    for y in _subgroup(p, d, n):
-        a = acc[:len(y)]
-        np.multiply(y, g[-1], out=a)
-        a += g[-2]
-        np.remainder(a, p, out=a)
-        for c in reversed(g[:-2]):
-            np.multiply(a, y, out=a)
-            a += c
-            np.remainder(a, p, out=a)
-        hit[a] = True  # repeated values mark the same byte
     bits = int.from_bytes(np.packbits(hit, bitorder="little"), "little")
     return ImageMask(p, bits, bits.bit_count())
 

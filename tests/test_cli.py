@@ -12,6 +12,7 @@ import pytest
 
 from polyimage import cli, primeimage
 from polyimage.cli import main
+from polyimage.verify import ANOMALY_THRESHOLD
 
 
 def run(capsys, *argv):
@@ -74,6 +75,19 @@ def test_spacings_csv_out(capsys, tmp_path):
     assert header == "bin_left,bin_right,count,density,exp_reference"
     r = json.loads(out)["result"]
     assert r["gap_frequencies"]["1"]["ratio"] == "1/6"
+
+
+def test_spacings_format_needs_out(capsys, tmp_path):
+    code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
+                         "--format", "json")
+    assert code == 2 and not out
+    assert "--format" in err and "--out" in err
+    out_path = tmp_path / "hist.json"
+    code, out, _ = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
+                       "--format", "json", "--out", str(out_path))
+    assert code == 0
+    written = json.loads(out_path.read_text())
+    assert written["summary"] == json.loads(out)["result"] and written["histogram"]
 
 
 def test_spacings_unwritable_out_is_invalid_input(capsys, tmp_path):
@@ -274,6 +288,20 @@ def test_verify_anomaly_single_prime(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out, argv
         assert "--poly" in err and "--prime" in err, argv
+
+
+def test_threshold_only_with_single_prime_report(capsys):
+    # the default comes from verify.ANOMALY_THRESHOLD when --threshold is absent
+    argv = ["verify", "anomaly", "--poly", "x^2", "--prime", "10007"]
+    _, plain, _ = run(capsys, *argv)
+    _, given, _ = run(capsys, *argv, "--threshold", str(ANOMALY_THRESHOLD))
+    assert json.loads(plain)["result"] == json.loads(given)["result"]
+    # every other form of verify exits 2 on --threshold, before any suite runs
+    for argv in (["verify", "multiplicativity", "--threshold", "1"],
+                 ["verify", "anomaly", "--threshold", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out, argv
+        assert "--threshold" in err, argv
 
 
 def test_reports_byte_identical_across_workers(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,13 @@ from polyimage import primeimage
 from polyimage.composite import joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
-from polyimage.polyarith import IntPoly, ObstructionSet, critical_diffs_mod, parse_poly
+from polyimage.polyarith import (
+    IntPoly,
+    ObstructionSet,
+    critical_diffs_mod,
+    is_probable_prime,
+    parse_poly,
+)
 from polyimage.primeimage import (
     anomaly_scan,
     compute_image,
@@ -69,9 +76,12 @@ def test_image_out_of_range():
 
 # each reduction f = g(x^m) of the mask builder: m = 4 and 6 with g = y; m = 3
 # with g of degree 2; m = 2 except at p = 7, where x^6 + 7x^2 is x^6; and a
-# polynomial that is constant mod 5
+# polynomial that is constant mod 5.  Then each Horner step the builder skips:
+# a leading coefficient other than 1 with no constant (2x^3), g = y plus a
+# constant (x^4 + 5) and zero interior coefficients (x^5 + 3x + 1)
 IMAGE_CORPUS = CORPUS + [parse_poly(t) for t in
-                         ("x^4", "x^6", "3x^6+5x^3+1", "x^6+7x^2", "5x^3+5x+2")]
+                         ("x^4", "x^6", "3x^6+5x^3+1", "x^6+7x^2", "5x^3+5x+2",
+                          "2x^3", "x^4+5", "x^5+3x+1")]
 
 
 def _assert_images_match_oracle(primes):
@@ -94,7 +104,8 @@ def test_image_matches_oracle_across_chunks(monkeypatch):
 
 
 def test_image_walk_crosses_chunk_boundary():
-    # x^2 + 1 = g(x^2) walks the (p - 1)/2 = 2^18 + 10 squares in two chunks
+    # x^2 + 1 = g(x^2) walks the (p - 1)/2 = 2^18 + 10 squares in chunks of
+    # _BLOCK, the last one partial
     f, p = parse_poly("x^2+1"), 524309
     assert (p - 1) // 2 > primeimage._BLOCK
     m = compute_image(f, p)
@@ -108,6 +119,31 @@ def test_monomial_image_size_closed_form():
     for m in (2, 3, 4, 6):
         assert compute_image(IntPoly.from_coeffs([0] * m + [1]), p).count == \
             1 + (p - 1) // math.gcd(m, p - 1), m
+
+
+def test_mask_build_scratch_is_bounded():
+    # the p-byte scratch, the packed mask and the chunk buffers: the peak stays
+    # below 1.5 p bytes, so the int64 buffers of a chunk hold under p/2 bytes
+    f, p = parse_poly("x^6"), 1000003
+    tracemalloc.start()
+    try:
+        m = compute_image(f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.count == 1 + (p - 1) // 6
+    assert peak < 1.5 * p, peak
+
+
+def test_reduce_matches_python_mod():
+    top = next(q for q in range(primeimage.MAX_MASK_PRIME - 1, 0, -2) if is_probable_prime(q))
+    rng = random.Random(15)
+    for p in (2, 3, 7, 1009, top):
+        edge = [0, p - 1, p, (p - 1) ** 2, (p - 1) ** 2 + p - 1]
+        vals = edge + [rng.randrange((p - 1) ** 2 + p) for _ in range(1000)]
+        a = np.array(vals, np.int64)
+        out = primeimage._reduce(a, p, np.empty_like(a))
+        assert out is a and a.tolist() == [v % p for v in vals], p
 
 
 def _no_scratch(*args, **kwargs):
