@@ -1,17 +1,19 @@
 """Command-line front end.
 
-Each subcommand declares only the flags it reads, plus `--workers`, which
-every command accepts and only `image`, `spacings` and `verify` read.  A
-command reads the parsed argparse namespace and returns its exit code, its
-`result` payload and a human summary; `main` alone writes them out.
+Each subcommand declares only the flags it reads, plus `--workers` (at
+least 1, default 1), which every command accepts and only `image` and
+`verify` read.  A command reads the parsed argparse namespace and returns
+its exit code, its `result` payload and a human summary; `main` alone
+writes them out.
 
 Machine-first output: the JSON report goes to stdout (stable key order, so a
 fixed command line produces byte-identical bytes; `config` echoes the parsed
 flags and the version, so runs that differ only in --workers give the same
 `result` payload but not the same `config`), the summary goes to stderr, and
-`spacings` writes its CSV or JSON histogram to --out.  Exit codes: 0 success,
-1 verification failure, 2 invalid input, 3 resource cap, 4 internal error
-(an unexpected exception, reported as one `internal error: <Type>: <message>`
+`spacings` builds its CSV or JSON histogram only to write it to --out (so
+--bins and --format without --out exit 2).  Exit codes: 0 success, 1
+verification failure, 2 invalid input, 3 resource cap, 4 internal error (an
+unexpected exception, reported as one `internal error: <Type>: <message>`
 line on stderr).  A reader that closes stdout before the report is written
 is not an error: the command exits 0 and stays silent.
 """
@@ -152,12 +154,14 @@ def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
 def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
     f = _require_poly(args)
     m = _require_modulus(args)
-    if args.format is not None and not args.out:
-        raise InvalidInputError("--format chooses the file --out writes; give --out too")
-    series = spacing_series(f, m, cap_bits=args.cap_bits, workers=args.workers)
+    for flag in ("format", "bins"):
+        if getattr(args, flag) is not None and not args.out:
+            raise InvalidInputError(f"--{flag} shapes the file --out writes; give --out too")
+    if args.bins is not None and args.bins > MAX_BINS:
+        raise ResourceCapError(f"--bins {args.bins} exceeds the cap of {MAX_BINS} histogram bins")
+    series = spacing_series(f, m, cap_bits=args.cap_bits)
     ks = ks_exponential(series)
     corr = adjacent_gap_correlation(series)
-    hist = histogram_normalized(series, bins=args.bins)
     result = {
         "q": m.q,
         "omega_size": series.element_count,
@@ -168,9 +172,9 @@ def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
             str(h): _frac(gap_frequency(series, h)) for h in range(1, 11)
         },
     }
-    rows = _histogram_rows(hist)
     if args.out:
-        _write_out(args, rows, result)
+        hist = histogram_normalized(series, bins=args.bins or 50)
+        _write_out(args, _histogram_rows(hist), result)
     return 0, result, (f"{series.element_count} gaps, KS {ks.statistic:.4f}, "
                        f"adjacent correlation {corr:.4f}")
 
@@ -306,6 +310,18 @@ def _jsonable(obj):
 
 # parser ----------------------------------------------------------------------
 
+# Most histogram bins `spacings --out` writes: 10^5 take about 1.5 s and 70 MB
+# as a process, growing linearly (3*10^6 took 11.5 s and 1.1 GB).
+MAX_BINS = 10**5
+
+
+def _at_least_one(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyimage",
@@ -321,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         if modulus:
             p.add_argument("--modulus", type=int, help="square-free modulus")
             p.add_argument("--primes", help="comma-separated prime list")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--workers", type=_at_least_one, default=1)
         return p
 
     command("image", "image size and per-prime statistics")
@@ -331,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", help="a:b[,a:b...] with rational endpoints")
 
     p = command("spacings", "gap statistics and KS test")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=_at_least_one,
+                   help=f"with --out; default 50, at most {MAX_BINS}")
     p.add_argument("--cap-bits", dest="cap_bits", type=int, default=DEFAULT_CAP_BITS)
     p.add_argument("--out", help="write the gap histogram to this path")
     p.add_argument("--format", choices=["json", "csv"], help="with --out; default csv")

@@ -9,15 +9,17 @@ image mod Q_A whose bit is set in the packed q/Q_A-bit image mod the rest.
 That image is held in window order, so one 8-byte load answers 56
 consecutive windows for one a.
 
-Factorization of user-supplied q is best effort: trial division to 10^4, then
-Brent's cycle finder, with Miller-Rabin primality (deterministic below 2^64).
-Callers with adversarial moduli should pass the prime list explicitly.
+Factorization of user-supplied q is best effort (polyarith._factor: trial
+division to 10^4, then Brent's cycle finder, with Miller-Rabin primality,
+deterministic below 2^64).  Callers with adversarial moduli should pass the
+prime list explicitly.  composite_stats may spread the per-prime statistics
+over a process pool; enumerate_image builds its masks in this process,
+through the image_mask cache.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -26,78 +28,10 @@ import numpy as np
 
 from .errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from .parallel import pmap
-from .polyarith import IntPoly, is_probable_prime
+from .polyarith import IntPoly, _factor, is_probable_prime
 from .primeimage import ImageMask, PrimeStats, image_mask, joint_count, prime_stats
 
 DEFAULT_CAP_BITS = 1 << 31
-_TRIAL_LIMIT = 10**4
-# work bound for Brent rho: factors of ~10^11 and below are found well within it
-_RHO_STEPS = 1 << 20
-
-
-def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n.  Raises ResourceCapError after
-    about _RHO_STEPS iterations of the pseudo-random map in total."""
-    rng = random.Random(n)
-    steps = 0
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            if steps > _RHO_STEPS:
-                raise ResourceCapError(
-                    f"no factor of {n} found within {_RHO_STEPS} rho steps; "
-                    "pass the prime factors with --primes"
-                )
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            steps += r + k
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factor(n: int) -> list[int]:
-    out = []
-    for p in (2, 3):
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    d = 5
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        for step in (d, d + 2):
-            while n % step == 0:
-                out.append(step)
-                n //= step
-        d += 6
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out.append(m)
-            continue
-        g = _brent_rho(m)
-        stack.extend((g, m // g))
-    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -254,12 +188,7 @@ def _crt_windows(masks: list[ImageMask], q: int):
                 yield els
 
 
-def enumerate_image(
-    f: IntPoly,
-    modulus: SquareFreeModulus,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    workers: int = 1,
-):
+def enumerate_image(f: IntPoly, modulus: SquareFreeModulus, cap_bits: int = DEFAULT_CAP_BITS):
     """Sorted residues of the image of f modulo q (t with t mod p in the
     image for every p | q), as an iterator of int64 arrays of whole windows,
     about _CHUNK_CANDIDATES candidates each and at least 8 windows; empty
@@ -275,5 +204,4 @@ def enumerate_image(
             f"q={q} exceeds the {cap_bits}-residue enumeration cap; "
             "use the multiplicative correlation workflow instead"
         )
-    masks = pmap(partial(image_mask, f), modulus.primes, workers)
-    return _crt_windows(masks, q)
+    return _crt_windows([image_mask(f, p) for p in modulus.primes], q)

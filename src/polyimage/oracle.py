@@ -2,18 +2,19 @@
 
 Everything here is a direct transcription of a definition: loop over all
 residues, no bitsets, no CRT, no resultants beyond the critical-value
-polynomial C that defines the obstruction sets.  Deliberately slow and boring;
-the tests trust these and check the fast paths against them.
+polynomial C that defines the obstruction sets, which are found by one gcd
+per shift (brute_critical_diffs, brute_critical_diffs_integers).
+Deliberately slow and boring; the tests trust these and check the fast paths
+against them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError
-from .polyarith import IntPoly, critical_diffs_mod, critical_value_poly, fp_gcd
+from .polyarith import IntPoly, critical_value_poly, fp_gcd
 
 MAX_BRUTE_MODULUS = 10**6
 
@@ -82,35 +83,3 @@ def brute_critical_diffs_integers(f: IntPoly, radius: int) -> list[int]:
     c = critical_value_poly(f)
     return [r for r in range(-radius, radius + 1) if _gcd_degree_q(c, c.shifted(r)) > 0]
 
-
-@dataclass(frozen=True)
-class OracleReport:
-    description: str
-    expected: object
-    actual: object
-    match: bool
-
-
-def critical_diffs_check(f: IntPoly, p: int) -> OracleReport:
-    """Compare the resultant-based critical-value difference set with a scan
-    over rational critical points.  The scan only sees critical points inside
-    F_p itself, so the check is that its differences form a subset; the
-    resultant path may legitimately contain more (values from extensions)."""
-    if p > 200:
-        raise InvalidInputError("cross-check is limited to p <= 200")
-    if p <= f.degree:
-        raise InvalidInputError("cross-check needs p > deg f")
-    deriv = [i * c % p for i, c in enumerate(f.coeffs) if i]
-    crit = [x for x in range(p)
-            if sum(c * pow(x, i, p) for i, c in enumerate(deriv)) % p == 0]
-    values = {_eval_mod(f, x, p) for x in crit}
-    diffs = sorted({(a - b) % p for a in values for b in values})
-    full = critical_diffs_mod(f, p)
-    match = set(diffs) <= set(full.elements)
-    return OracleReport(
-        description=f"rational critical-value differences of {f} mod {p} "
-                    "against the resultant-based set",
-        expected=diffs,
-        actual=list(full.elements),
-        match=match,
-    )

@@ -2,12 +2,14 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the ring operations
-this module provides resultants (Euclid over F_p; over Z the same F_p
-computation at enough primes below 2^62, combined by Chinese remaindering),
-roots over F_p, the critical-value polynomial of a map x -> f(x), and the
-obstruction sets of critical-value differences: the integer differences and,
-per prime, the residues h for which two critical values collide after a
-shift by h, both read off the F_p-roots of one difference resultant.
+this module provides primality and the package's one integer factorizer
+(_factor), resultants (Euclid over F_p; over Z the same F_p computation at
+enough primes below 2^62, combined by Chinese remaindering), roots over F_p,
+the critical-value polynomial of a map x -> f(x), and the obstruction sets of
+critical-value differences: the integer differences and, per prime, the
+residues h for which two critical values collide after a shift by h, both
+read off the F_p-roots of one difference resultant, whose degree m^2 is
+bounded through m = deg C <= MAX_CRITICAL_DEGREE.
 Offsets whose pairwise differences avoid the mod-p obstruction set are
 exactly the ones where joint image counts follow the independence model.
 
@@ -17,12 +19,13 @@ Everything here is pure and exact; nothing touches floating point.
 from __future__ import annotations
 
 import math
+import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, zip_longest
 
-from .errors import DegenerateInputError, InvalidInputError, WildModulusError
+from .errors import DegenerateInputError, InvalidInputError, ResourceCapError, WildModulusError
 
 
 def _trim(coeffs) -> tuple[int, ...]:
@@ -373,6 +376,79 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_LIMIT = 10**4
+# work bound for Brent rho: factors of ~10^11 and below are found well within it
+_RHO_STEPS = 1 << 20
+
+
+def _brent_rho(n: int) -> int:
+    """A nontrivial factor of composite odd n.  Raises ResourceCapError after
+    about _RHO_STEPS iterations of the pseudo-random map in total."""
+    rng = random.Random(n)
+    steps = 0
+    while True:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1:
+            if steps > _RHO_STEPS:
+                raise ResourceCapError(
+                    f"no factor of {n} found within {_RHO_STEPS} rho steps; "
+                    "pass the prime factors with --primes"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            steps += r + k
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> list[int]:
+    """The prime factors of n >= 1 with multiplicity, ascending: trial
+    division to _TRIAL_LIMIT, then Brent's cycle finder on what is left,
+    with is_probable_prime deciding when a cofactor is prime."""
+    out = []
+    for p in (2, 3):
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    d = 5
+    while d <= _TRIAL_LIMIT and d * d <= n:
+        for step in (d, d + 2):
+            while n % step == 0:
+                out.append(step)
+                n //= step
+        d += 6
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            out.append(m)
+            continue
+        g = _brent_rho(m)
+        stack.extend((g, m // g))
+    return sorted(out)
+
+
 def _proth_prime(lo: int, avoid: int) -> int:
     """A prime P = k * 2^n + 1 > lo not dividing `avoid`, k odd and k < 2^n:
     is_probable_prime screens out squares and other composites, then Proth's
@@ -450,36 +526,35 @@ def fp_resultant(a: FpPoly, b: FpPoly) -> int:
 
 
 def _interp_fp(p: int, points: list[tuple[int, int]]) -> FpPoly:
-    out = [0] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [0] + basis
-            for k in range(len(basis) - 1):
-                basis[k] = (basis[k] - basis[k + 1] * xj) % p
-            denom = denom * (xi - xj) % p
+    """The polynomial of degree below n = len(points) through the points
+    (distinct x) over F_p, by Lagrange in O(n^2): the node polynomial
+    prod (x - x_j) is built once, and each basis polynomial is its quotient by
+    x - x_i, found by synthetic division along with its value at x_i."""
+    n = len(points)
+    node = [1]
+    for xj, _ in points:
+        node = [0, *node]
+        for k in range(len(node) - 1):
+            node[k] = (node[k] - node[k + 1] * xj) % p
+    out = [0] * n
+    for xi, yi in points:
+        basis, carry, denom = [0] * n, 0, 0
+        for k in range(n - 1, -1, -1):  # the quotient from the top, and Horner at x_i
+            carry = basis[k] = (node[k + 1] + carry * xi) % p
+            denom = (denom * xi + carry) % p
         w = yi * pow(denom, -1, p) % p
-        for k in range(len(basis)):
-            out[k] = (out[k] + w * basis[k]) % p
-    return FpPoly(p, _trim(out))
+        for k, c in enumerate(basis):
+            out[k] += w * c
+    return FpPoly(p, _trim(v % p for v in out))
 
 
 def resultant_x(a, b):
-    """Eliminate x between a(x) and b.
-
-    With b a plain polynomial the scalar Res_x(a, b) is returned.  With b a
-    sequence of polynomials in x (the coefficients of powers of a second
-    variable y) the resultant is a polynomial in y: over F_p by evaluating y
-    at enough nodes and interpolating, over Z by lifting that F_p result from
-    large primes.
+    """Eliminate x between a(x) and b, a sequence of polynomials in x (the
+    coefficients of powers of a second variable y): the resultant is a
+    polynomial in y, over F_p by evaluating y at enough nodes and
+    interpolating, over Z by lifting that F_p result from large primes.
+    Scalar resultants are int_resultant and fp_resultant.
     """
-    if isinstance(b, (IntPoly, FpPoly)):
-        if isinstance(a, FpPoly):
-            return fp_resultant(a, b)
-        return int_resultant(a, b)
     coeffs_y = list(b)
     if a.is_zero:
         raise InvalidInputError("resultant with zero polynomial")
@@ -585,6 +660,24 @@ def difference_resultant(c):
     return resultant_x(c, [IntPoly(_trim(row)) for row in hasse])
 
 
+# Largest m = deg C whose obstruction sets are computed: rooting the degree-m^2
+# difference resultant mod P costs about m^4 log P.  The slowest case measured
+# at m = 20, critical --poly x^21+3x^7-5x^2+x --prime 2^61-1, took 8.9 s as a
+# process on a 2-core machine; m = 22 took 12.7 s.
+MAX_CRITICAL_DEGREE = 20
+
+
+def _obstruction_poly(f: IntPoly, p: int | None = None):
+    """critical_value_poly(f, p), refused with ResourceCapError when its
+    degree exceeds MAX_CRITICAL_DEGREE, before any difference resultant."""
+    c = critical_value_poly(f, p)
+    if c.degree > MAX_CRITICAL_DEGREE:
+        raise ResourceCapError(f"the obstruction set of a degree-{c.degree} critical-value "
+                               f"polynomial needs a degree-{c.degree**2} difference resultant; "
+                               f"the cap is deg C <= {MAX_CRITICAL_DEGREE}")
+    return c
+
+
 def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     """Integers r that occur as a difference of two critical values of f,
     i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
@@ -598,7 +691,7 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     which is R(r) = 0, are kept.  P is a Proth prime, proved prime at every
     size (_proth_prime).
     """
-    c = critical_value_poly(f)
+    c = _obstruction_poly(f)
     ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
     bound = 2 * (1 + ratio)
     prime = _proth_prime(max(2 * bound, c.degree**2), c.leading)
@@ -620,7 +713,7 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     critical values living in proper extensions are invisible to the scan.
     """
     try:
-        c = critical_value_poly(f, p)
+        c = _obstruction_poly(f, p)
     except WildModulusError:
         fbar = FpPoly.from_int_poly(f, p)
         if fbar.degree < 1:  # constant mod p: one value, whose only difference is 0

@@ -35,7 +35,7 @@ from itertools import count
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
-from .polyarith import IntPoly, ObstructionSet
+from .polyarith import IntPoly, ObstructionSet, _factor
 
 MAX_PRIME = 1 << 31
 # Largest prime compute_image builds a mask for: the build marks the image in
@@ -76,16 +76,8 @@ class PrimeStats:
 
 def _primitive_root(p: int) -> int:
     """Least primitive root modulo an odd prime p, tested against the primes
-    of p - 1 found by trial division (under 46341 steps for p < 2^31)."""
-    n, primes, d = p - 1, [], 2
-    while d * d <= n:
-        if n % d == 0:
-            primes.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 + (d > 2)
-    if n > 1:
-        primes.append(n)
+    of p - 1 (polyarith._factor)."""
+    primes = set(_factor(p - 1))
     return next(r for r in count(2) if all(pow(r, (p - 1) // s, p) != 1 for s in primes))
 
 

@@ -5,7 +5,8 @@ gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
 sum of products of neighbouring gaps -- which is filled in one pass over the
-image as composite.enumerate_image streams it in chunks of whole windows.
+image as composite.enumerate_image streams it in chunks of whole windows,
+from the masks that composite_stats has built and cached in this process.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
 q/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
@@ -61,18 +62,15 @@ class SpacingSeries:
     lag_sum: int
 
 
-def spacing_series(
-    f: IntPoly,
-    modulus: SquareFreeModulus,
-    cap_bits: int = DEFAULT_CAP_BITS,
-    workers: int = 1,
-) -> SpacingSeries:
-    """Gap table of f modulo q, streamed from the image chunk by chunk.
-    Refuses degenerate moduli where the mean spacing is 1 (nothing to
-    normalize)."""
+def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
+                   cap_bits: int = DEFAULT_CAP_BITS) -> SpacingSeries:
+    """Gap table of f modulo q, streamed from the image chunk by chunk; the
+    masks composite_stats builds for the degeneracy check are the ones
+    enumerate_image reads from the cache.  Refuses degenerate moduli where
+    the mean spacing is 1 (nothing to normalize)."""
     if composite_stats(f, modulus).s_q == 1:
         raise DegenerateInputError("degenerate: mean spacing 1")
-    chunks = enumerate_image(f, modulus, cap_bits=cap_bits, workers=workers)
+    chunks = enumerate_image(f, modulus, cap_bits=cap_bits)
     small, large = np.zeros(_SMALL_GAPS, np.int64), [np.empty(0, np.int64)]
 
     def tally(gaps):

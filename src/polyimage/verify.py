@@ -30,7 +30,8 @@ from .errors import DegenerateInputError
 from .oracle import brute_joint_count
 from .parallel import pmap
 from .polyarith import IntPoly, critical_diffs_mod, is_probable_prime, parse_poly
-from .primeimage import anomaly_scan, image_mask, joint_count, max_pair_correlation, pair_counts
+from .primeimage import (anomaly_scan, image_mask, joint_count, max_pair_correlation, pair_counts,
+                         prime_stats)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -174,44 +175,45 @@ def check_wan_bound() -> CheckResult:
     violations = []
     checked = 0
     for entry in CORPUS:
-        deg = entry.poly.degree
         for p in primes_upto(10**4):
-            w = image_mask(entry.poly, p).count
-            if w == p:
+            st = prime_stats(entry.poly, p)
+            if st.is_permutation:
                 continue
             checked += 1
-            if deg * w > deg * p - (p - 1):
+            if not st.wan_ok:
                 violations.append((entry.name, p))
     return CheckResult("wan-bound", not violations,
                        {"checked": checked, "violations": violations})
 
 
+def _quartic_ratio(p: int, h: int) -> tuple[Fraction, Fraction, bool]:
+    """For QUARTIC at the prime p: the pair-count ratio p * N_2(h, p) / omega^2,
+    the constant it tends to (at h = 1, 2/3 for p = 1 mod 4 and 4/3 for
+    p = 3 mod 4; 1 at an offset outside the obstruction set {0, 1, p - 1}),
+    and whether |ratio - constant| <= RATIO_DEV_CONST / sqrt(p), compared
+    squared and exact."""
+    mask = image_mask(QUARTIC, p)
+    ratio = Fraction(p * joint_count(mask, [h]), mask.count**2)
+    const = Fraction(1) if h != 1 else Fraction(2, 3) if p % 4 == 1 else Fraction(4, 3)
+    dev = ratio - const
+    return ratio, const, dev * dev * p <= RATIO_DEV_CONST**2
+
+
 def check_anomaly_constants(seed: int = 0) -> CheckResult:
     rng = random.Random(seed)
     ps = primes_upto(10**5)
-    cls = {
-        1: [p for p in ps if 10**4 <= p and p % 4 == 1],
-        3: [p for p in ps if 10**4 <= p and p % 4 == 3],
-    }
-    tol_sq_num = RATIO_DEV_CONST**2  # (ratio-const)^2 <= tol^2/p, exact
     worst_anom = 0.0
     worst_generic = 0.0
     failures = 0
-    for residue, const in ((1, Fraction(2, 3)), (3, Fraction(4, 3))):
-        for p in rng.sample(cls[residue], 20):
-            mask = image_mask(QUARTIC, p)
-            w2 = mask.count**2
-            n1 = joint_count(mask, [1])
-            dev = Fraction(p * n1, w2) - const
-            if dev * dev * p > tol_sq_num:
-                failures += 1
-            worst_anom = max(worst_anom, abs(float(dev)) * math.sqrt(p))
+    for residue in (1, 3):
+        for p in rng.sample([p for p in ps if 10**4 <= p and p % 4 == residue], 20):
+            ratio, const, ok = _quartic_ratio(p, 1)
+            failures += not ok
+            worst_anom = max(worst_anom, abs(float(ratio - const)) * math.sqrt(p))
             for h in rng.sample(range(2, p - 1), 50):
-                n = joint_count(mask, [h])
-                d = Fraction(p * n, w2) - 1
-                if d * d * p > tol_sq_num:
-                    failures += 1
-                worst_generic = max(worst_generic, abs(float(d)) * math.sqrt(p))
+                ratio, const, ok = _quartic_ratio(p, h)
+                failures += not ok
+                worst_generic = max(worst_generic, abs(float(ratio - const)) * math.sqrt(p))
     return CheckResult(
         "quartic-anomaly-constants",
         failures == 0,
@@ -258,10 +260,10 @@ def check_davenport() -> CheckResult:
     )
 
 
-def check_poisson(workers: int = 1) -> CheckResult:
+def check_poisson() -> CheckResult:
     f = parse_poly("x^2")
     m = parse_modulus(list(POISSON_PRIMES))
-    series = spacing_series(f, m, workers=workers)
+    series = spacing_series(f, m)
     ks = ks_exponential(series)
     corr = adjacent_gap_correlation(series)
     ok = ks.statistic <= KS_TOL and abs(corr) <= ADJACENT_CORR_TOL
@@ -362,7 +364,7 @@ SUITES = {
     "davenport": lambda seed, workers: [check_davenport()],
     "anomaly": lambda seed, workers: [check_anomaly_constants(seed),
                                       check_anomaly_localization()],
-    "poisson": lambda seed, workers: [check_poisson(workers)],
+    "poisson": lambda seed, workers: [check_poisson()],
     "correlation": lambda seed, workers: [check_correlation_convergence(),
                                           check_permutation_reduction()],
     "c0": lambda seed, workers: [check_c0_bound()],
@@ -384,14 +386,10 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
     }
     ok = all(a.in_critical_diffs for a in scan)
     if f == QUARTIC:
-        mask = image_mask(f, p)
-        const = Fraction(2, 3) if p % 4 == 1 else Fraction(4, 3)
-        n1 = joint_count(mask, [1])
-        ratio = Fraction(p * n1, mask.count**2)
-        dev = ratio - const
+        ratio, const, ratio_ok = _quartic_ratio(p, 1)
         details["residue_class"] = p % 4
         details["ratio_at_offset_1"] = float(ratio)
         details["class_constant"] = str(const)
-        details["dev_times_sqrtp"] = round(abs(float(dev)) * math.sqrt(p), 3)
-        ok = ok and dev * dev * p <= RATIO_DEV_CONST**2
+        details["dev_times_sqrtp"] = round(abs(float(ratio - const)) * math.sqrt(p), 3)
+        ok = ok and ratio_ok
     return CheckResult("anomaly-report", ok, details)

@@ -62,7 +62,7 @@ def test_criterion_07_davenport_gaps():
 
 
 def test_criterion_08_poisson_spacings():
-    _assert(check_poisson(workers=1))
+    _assert(check_poisson())
 
 
 def test_criterion_09_correlation_convergence():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polyimage import cli, primeimage
+from polyimage import cli, polyarith, primeimage
 from polyimage.cli import main
 from polyimage.verify import ANOMALY_THRESHOLD
 
@@ -90,6 +90,48 @@ def test_spacings_format_needs_out(capsys, tmp_path):
     assert written["summary"] == json.loads(out)["result"] and written["histogram"]
 
 
+def test_spacings_bins_needs_out(capsys, tmp_path):
+    code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105", "--bins", "10")
+    assert code == 2 and not out
+    assert "--bins" in err and "--out" in err
+    code, out, _ = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105")
+    assert code == 0 and json.loads(out)["config"]["bins"] is None
+    out_path = tmp_path / "hist.csv"
+    code, _, _ = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105", "--bins", "10",
+                     "--out", str(out_path))
+    assert code == 0 and len(out_path.read_text().splitlines()) == 1 + 10 + 1
+
+
+def test_spacings_bins_cap_exit_before_enumeration(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the image was enumerated")
+
+    monkeypatch.setattr(cli, "spacing_series", refuse)
+    out_path = tmp_path / "hist.csv"
+    code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "1155",
+                         "--bins", str(cli.MAX_BINS + 1), "--out", str(out_path))
+    assert code == 3 and not out and not out_path.exists()
+    assert err.strip() == (f"resource cap: --bins {cli.MAX_BINS + 1} exceeds the cap of "
+                           f"{cli.MAX_BINS} histogram bins")
+
+
+def test_workers_defaults_to_one():
+    for argv in (["image", "--poly", "x^2", "--modulus", "105"],
+                 ["verify", "wan"]):
+        assert cli.build_parser().parse_args(argv).workers == 1
+
+
+def test_workers_below_one_rejected(capsys):
+    for argv in (["image", "--poly", "x^2", "--modulus", "105", "--workers", "-3"],
+                 ["spacings", "--poly", "x^2", "--modulus", "105", "--workers", "0"],
+                 ["verify", "wan", "--workers", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert not out and "--workers: must be at least 1" in err, argv
+
+
 def test_spacings_unwritable_out_is_invalid_input(capsys, tmp_path):
     out_path = tmp_path / "missing" / "hist.csv"
     code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
@@ -145,6 +187,19 @@ def test_critical_command(capsys):
     code, out, _ = run(capsys, "critical", "--poly", "x^2")
     r = json.loads(out)["result"]
     assert r["critical_diffs_integers"] == [0]
+
+
+def test_obstruction_degree_cap_exit_at_once(capsys):
+    cap = polyarith.MAX_CRITICAL_DEGREE
+    poly = f"x^{cap + 2}+x"  # deg C = cap + 1
+    for argv in (["critical", "--poly", poly], ["critical", "--poly", poly, "--prime", "50021"],
+                 ["verify", "anomaly", "--poly", poly, "--prime", "50021"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert f"degree-{cap + 1} critical-value polynomial" in err, argv
+        assert err.strip().endswith(f"the cap is deg C <= {cap}"), argv
+        assert time.perf_counter() - start < 2, argv
 
 
 def test_critical_large_coefficients_and_prime(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyimage import composite
+from polyimage import composite, polyarith
 from polyimage.composite import (
     composite_stats,
     enumerate_image,
@@ -49,7 +49,7 @@ def test_parse_modulus_large_factors():
 
 def test_factor_past_trial_division():
     # Brent rho finds the primes above the trial-division limit, squares too
-    assert composite._factor(999983 * 1000003) == [999983, 1000003]
+    assert polyarith._factor(999983 * 1000003) == [999983, 1000003]
     for p in (999983, 10007):
         with pytest.raises(NotSquareFreeError, match="not square-free"):
             parse_modulus(p * p)
@@ -221,11 +221,3 @@ def test_composite_stats_reduction_field():
     st = composite_stats(parse_poly("x^3"), parse_modulus(105))
     assert st.q1_reduced.primes == (7,)
     assert st.s_q == Fraction(7, 3)
-
-
-def test_parallel_workers_match_sequential():
-    f = parse_poly("x^2")
-    m = parse_modulus(1155)
-    seq = elements(enumerate_image(f, m, workers=1))
-    par = elements(enumerate_image(f, m, workers=2))
-    assert seq == par == brute_image(f, m.q)

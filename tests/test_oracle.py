@@ -3,7 +3,7 @@
 import pytest
 
 from polyimage.errors import InvalidInputError
-from polyimage.oracle import brute_image, brute_joint_count, critical_diffs_check
+from polyimage.oracle import brute_image, brute_joint_count
 from polyimage.polyarith import parse_poly
 from polyimage.primeimage import image_mask, joint_count
 
@@ -24,23 +24,3 @@ def test_brute_joint_count_examples():
     assert brute_joint_count(f, 105, [0, 0]) == len(brute_image(f, 105))
     q = parse_poly("x^4-2x^2")
     assert brute_joint_count(q, 13, [1]) == joint_count(image_mask(q, 13), [1])
-
-
-def test_critical_diffs_check_examples():
-    r = critical_diffs_check(parse_poly("x^4-2x^2"), 7)
-    assert r.match
-    assert {0, 1, 6} <= set(r.actual) and {0, 1, 6} <= set(r.expected)
-
-    r = critical_diffs_check(parse_poly("x^2"), 13)
-    assert r.match and r.expected == [0] and r.actual == [0]
-
-    # 3x^2+1 may or may not have roots in F_5; the subset relation holds either way
-    r = critical_diffs_check(parse_poly("x^3+x"), 5)
-    assert r.match
-
-
-def test_critical_diffs_check_preconditions():
-    with pytest.raises(InvalidInputError):
-        critical_diffs_check(parse_poly("x^2"), 211)
-    with pytest.raises(InvalidInputError):
-        critical_diffs_check(parse_poly("x^4-2x^2"), 3)

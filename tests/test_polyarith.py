@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyimage import polyarith
-from polyimage.errors import DegenerateInputError, InvalidInputError, WildModulusError
-from polyimage.oracle import (
-    brute_critical_diffs,
-    brute_critical_diffs_integers,
-    critical_diffs_check,
+from polyimage.errors import (
+    DegenerateInputError,
+    InvalidInputError,
+    ResourceCapError,
+    WildModulusError,
 )
+from polyimage.oracle import brute_critical_diffs, brute_critical_diffs_integers
 from polyimage.polyarith import (
     FpPoly,
     IntPoly,
@@ -254,10 +256,41 @@ def test_resultant_x_spec_examples():
     assert r == parse_poly("x^3+2x^2+x")  # y(y+1)^2 up to the variable name
 
 
-def test_resultant_x_scalar_dispatch():
-    a, b = parse_poly("x^2-1"), parse_poly("x-1")
-    assert resultant_x(a, b) == 0
-    assert resultant_x(a, parse_poly("x-2")) == 3
+def test_int_resultant_examples():
+    a = parse_poly("x^2-1")
+    assert int_resultant(a, parse_poly("x-1")) == 0  # the shared root 1
+    assert int_resultant(a, parse_poly("x-2")) == 3  # (1 - 2) * (-1 - 2)
+
+
+def _interp_basis_by_basis(p, points):
+    # Lagrange with every basis polynomial built from scratch, O(n^3)
+    out = [0] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [1], 1
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [(up - b * xj) % p for up, b in zip([0] + basis, basis + [0])]
+                denom = denom * (xi - xj) % p
+        w = yi * pow(denom, -1, p)
+        out = [(o + w * b) % p for o, b in zip(out, basis)]
+    return FpPoly(p, tuple(out))
+
+
+def test_interp_fp_matches_basis_by_basis_reference():
+    rng = random.Random(37)
+    for _ in range(300):
+        p = rng.choice([2, 3, 7, 101, 50021, 2**61 - 1])
+        n = rng.randrange(min(p, 10) + 1)
+        points = [(x, rng.randrange(p)) for x in rng.sample(range(p), n)]
+        assert polyarith._interp_fp(p, points) == _interp_basis_by_basis(p, points), points
+
+
+def test_interp_fp_takes_the_values_at_600_nodes():
+    rng = random.Random(41)
+    p = 50021
+    points = [(x, rng.randrange(p)) for x in rng.sample(range(p), 600)]
+    g = polyarith._interp_fp(p, points)
+    assert g.degree < 600 and all(g.evaluate(x) == y for x, y in points)
 
 
 def test_resultant_x_rejects_zero():
@@ -423,6 +456,22 @@ def test_critical_diffs_infinity_rational_critical_points(points, const):
         assert got == brute_critical_diffs_integers(f, radius)
 
 
+def test_obstruction_sets_refused_past_degree_cap(monkeypatch):
+    cap = polyarith.MAX_CRITICAL_DEGREE
+    built = []
+    monkeypatch.setattr(polyarith, "difference_resultant", built.append)
+    f = parse_poly(f"x^{cap + 2}+x")  # deg C = cap + 1
+    start = time.perf_counter()
+    # 101 <= (cap + 1)^2 takes the per-shift branch, 50021 the resultant one
+    for run in (lambda: critical_diffs_infinity(f), lambda: critical_diffs_mod(f, 50021),
+                lambda: critical_diffs_mod(f, 101)):
+        with pytest.raises(ResourceCapError, match=rf"degree-{cap + 1} .* deg C <= {cap}$"):
+            run()
+    assert not built and time.perf_counter() - start < 2
+    monkeypatch.undo()
+    assert critical_diffs_infinity(parse_poly(f"x^{cap + 1}+x")).elements == (0,)
+
+
 def test_critical_diffs_mod_wild_case_flagged():
     obs = critical_diffs_mod(parse_poly("x^2"), 2)
     assert obs.approximate
@@ -445,15 +494,6 @@ def test_diffs_infinity_reduce_into_mod_p():
                 continue
             obs = critical_diffs_mod(f, p)
             assert all(r % p in obs for r in inf.elements), (f, p)
-
-
-def test_mod_p_roots_match_rational_critical_values():
-    # rational-critical-point scan is a subset of the resultant route, p <= 200
-    for f in CORPUS:
-        for p in primes_upto(200):
-            if p <= f.degree:
-                continue
-            assert critical_diffs_check(f, p).match, (f, p)
 
 
 def test_quartic_critical_roots_exactly_rational():

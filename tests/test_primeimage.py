@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyimage import primeimage
+from polyimage import polyarith, primeimage
 from polyimage.composite import joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
@@ -119,6 +119,20 @@ def test_monomial_image_size_closed_form():
     for m in (2, 3, 4, 6):
         assert compute_image(IntPoly.from_coeffs([0] * m + [1]), p).count == \
             1 + (p - 1) // math.gcd(m, p - 1), m
+
+
+def test_primitive_root_past_trial_division(monkeypatch):
+    # p - 1 = 2 * 10007 * 10069 < 2^28: both odd primes lie past the
+    # trial-division limit, so the shared factorizer finds them by Brent rho
+    p, primes = 201520967, (2, 10007, 10069)
+    rho, brent_rho = [], polyarith._brent_rho
+    monkeypatch.setattr(polyarith, "_brent_rho", lambda n: rho.append(n) or brent_rho(n))
+    r = primeimage._primitive_root(p)
+    assert rho == [10007 * 10069]
+    assert all(pow(r, (p - 1) // s, p) != 1 for s in primes)
+    assert all(any(pow(t, (p - 1) // s, p) == 1 for s in primes) for t in range(2, r))
+    # the walk over the squares covers all (p - 1)/2 of them only for a primitive root
+    assert compute_image(parse_poly("x^2"), p).count == (p + 1) // 2
 
 
 def test_mask_build_scratch_is_bounded():
