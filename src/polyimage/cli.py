@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Each subcommand declares only the flags it reads, plus `--workers` (at
-least 1, default 1), which every command accepts and only `image` and
-`verify` read.  A command reads the parsed argparse namespace and returns
+Each subcommand declares only the flags it reads (`--modulus` and
+`--primes` as a mutually exclusive pair), plus `--workers` (at least 1,
+default 1), which every command accepts and only `image` and `verify` read.  A command reads the parsed argparse namespace and returns
 its exit code, its `result` payload and a human summary; `main` alone
 writes them out.
 
@@ -335,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--poly", help="polynomial in x, e.g. x^4-2x^2")
         if modulus:
-            p.add_argument("--modulus", type=int, help="square-free modulus")
-            p.add_argument("--primes", help="comma-separated prime list")
+            either = p.add_mutually_exclusive_group()
+            either.add_argument("--modulus", type=int, help="square-free modulus")
+            either.add_argument("--primes", help="comma-separated prime list")
         p.add_argument("--workers", type=_at_least_one, default=1)
         return p
 

@@ -9,7 +9,8 @@ the critical-value polynomial of a map x -> f(x), and the obstruction sets of
 critical-value differences: the integer differences and, per prime, the
 residues h for which two critical values collide after a shift by h, both
 read off the F_p-roots of one difference resultant, whose degree m^2 is
-bounded through m = deg C <= MAX_CRITICAL_DEGREE.
+bounded through m = deg C <= MAX_CRITICAL_DEGREE, and whose cost in the size
+of the reduction prime is bounded by MAX_OBSTRUCTION_WORK.
 Offsets whose pairwise differences avoid the mod-p obstruction set are
 exactly the ones where joint image counts follow the independence model.
 
@@ -665,6 +666,13 @@ def difference_resultant(c):
 # at m = 20, critical --poly x^21+3x^7-5x^2+x --prime 2^61-1, took 8.9 s as a
 # process on a 2-core machine; m = 22 took 12.7 s.
 MAX_CRITICAL_DEGREE = 20
+# Largest work estimate _check_obstruction_work accepts: m^4 * b products of
+# b-bit residues mod P, each about 256 + d^2 CPython digit operations (d the
+# 30-bit digits of P; 256 stands for the interpreter's cost per product).
+# critical_diffs_mod at m = 20 took 5.5, 7.1 and 13.9 s (CPU, 2-core machine)
+# at primes of 61, 89 and 127 bits, estimated 2.6e9, 3.8e9 and 5.7e9; at
+# m = 10, 0.5, 1.1, 9.0 and 85 s at 61, 127, 521 and 1279 bits (1.6e8 to 2.7e10).
+MAX_OBSTRUCTION_WORK = 1 << 32
 
 
 def _obstruction_poly(f: IntPoly, p: int | None = None):
@@ -678,6 +686,16 @@ def _obstruction_poly(f: IntPoly, p: int | None = None):
     return c
 
 
+def _check_obstruction_work(m: int, bits: int) -> None:
+    """Raise ResourceCapError when the obstruction set of a degree-m C mod a
+    prime of the given bit length is estimated past MAX_OBSTRUCTION_WORK."""
+    work = m**4 * bits * (256 + (-(-bits // 30)) ** 2)
+    if work > MAX_OBSTRUCTION_WORK:
+        raise ResourceCapError(f"the obstruction set of a degree-{m} critical-value polynomial "
+                               f"mod a {bits}-bit prime needs about {work} digit operations; "
+                               f"the cap is {MAX_OBSTRUCTION_WORK}")
+
+
 def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     """Integers r that occur as a difference of two critical values of f,
     i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
@@ -689,12 +707,15 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     difference_resultant(C mod P); its roots, lifted to (-P/2, P/2), contain
     every integer root, and the ones with Res(C(y), C(y + r)) = 0 exactly,
     which is R(r) = 0, are kept.  P is a Proth prime, proved prime at every
-    size (_proth_prime).
+    size (_proth_prime).  P is found just above its lower bound, so that
+    bound's bit length (plus one) is the size the work estimate checks
+    before P is sought.
     """
     c = _obstruction_poly(f)
     ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
-    bound = 2 * (1 + ratio)
-    prime = _proth_prime(max(2 * bound, c.degree**2), c.leading)
+    lo = max(4 * (1 + ratio), c.degree**2)
+    _check_obstruction_work(c.degree, lo.bit_length() + 1)
+    prime = _proth_prime(lo, c.leading)
     lifted = (h if 2 * h < prime else h - prime
               for h in fp_roots(difference_resultant(FpPoly.from_int_poly(c, prime))))
     return ObstructionSet("infinity", None, tuple(
@@ -724,6 +745,7 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
         diffs = {(a - b) % p for a in values for b in values}
         return ObstructionSet("mod", p, tuple(sorted(diffs)), approximate=True)
     m = c.degree
+    _check_obstruction_work(m, p.bit_length())
     if m < 1:
         hits = []
     elif p <= m * m:

@@ -13,7 +13,9 @@ into bits; MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.
 Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
 which is what makes prime-by-prime scans cheap.  This module owns that
-counting: joint_count at explicit offsets and pair_counts over every shift.
+counting: joint_count_table, the one kernel that turns rotations into joint
+counts, over a grid of offsets (joint_count is its one-point case), and
+pair_counts over every shift.
 The pair counts over every shift are the cyclic autocorrelation of the image
 indicator, taken by one zero-padded real FFT in O(p log p) and rounded under
 an exactness guard (Kurlberg-Rudnick's pair-correlation object, Duke Math. J.
@@ -47,6 +49,9 @@ _BLOCK = 1 << 14  # subgroup points per vectorized Horner pass: 128 KiB of int64
 # the spectrum), so the peak is about 32 * n bytes: 550 MB and 4 s as a
 # process at p = 8388593.
 MAX_PAIR_TRANSFORM = 1 << 24
+# uint64 words joint_count_table ANDs and counts per numpy call: a 256 KiB
+# scratch block, or one rotation when p > 2^21
+_ROW_WORDS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -186,15 +191,73 @@ def prime_stats(f: IntPoly, p: int) -> PrimeStats:
     return PrimeStats(p, omega, Fraction(p, omega), is_perm, wan_ok)
 
 
+def _words(bits: int, n: int) -> np.ndarray:
+    """A bitset as n little-endian uint64 words."""
+    return np.frombuffer(bits.to_bytes(8 * n, "little"), np.uint64)
+
+
+def joint_count_table(mask: ImageMask, axes) -> np.ndarray:
+    """Joint counts N(h_1, ..., h_r) -- the image elements t with t + h_i in
+    the image for every i -- for every h_i in axes[i] (offsets taken modulo
+    p), as an int64 array of shape (len(a) for a in axes); with no axes, the
+    0-d array holding mask.count.
+
+    Each prefix h_1, ..., h_{r-1} is ANDed once, as a Python int, and a
+    prefix whose AND is empty leaves its whole sub-table 0.  The rotations
+    of axes[1:] are built once per table and held: the middle axes as ints,
+    the innermost as rows of uint64 words (about sum len(a) * p/8 bytes in
+    all, table_work), against which a prefix's row is ANDed and counted by
+    np.bitwise_count, _ROW_WORDS words per call.  Converting a rotation to
+    words costs about as much as one AND and count, so a one-axis table,
+    which uses each rotation once, ANDs and counts them as ints instead."""
+    axes = [list(a) for a in axes]
+    table = np.zeros([len(a) for a in axes], np.int64)
+    if not axes:
+        table[()] = mask.count
+        return table
+    *outer, inner = axes
+    if not outer:
+        table[:] = [(mask.bits & mask.rotated(h)).bit_count() for h in inner]
+        return table
+    n = -(-mask.p // 64)
+    held = np.empty((len(inner), n), np.uint64)
+    for j, h in enumerate(inner):
+        held[j] = _words(mask.rotated(h), n)
+    step = max(1, _ROW_WORDS // n)
+    scratch = np.empty((min(step, len(inner)), n), np.uint64)
+    middle = [[mask.rotated(h) for h in a] for a in outer[1:]]
+
+    def fill(acc: int, depth: int, index: tuple) -> None:
+        if depth == len(outer):
+            acc, row = _words(acc, n), table[index]
+            for lo in range(0, len(inner), step):
+                block = held[lo:lo + step]
+                both = np.bitwise_and(block, acc, out=scratch[:len(block)])
+                row[lo:lo + step] = np.bitwise_count(both).sum(axis=1)
+            return
+        rots = middle[depth - 1] if depth else (mask.rotated(h) for h in outer[0])
+        for i, r in enumerate(rots):
+            if prefix := acc & r:
+                fill(prefix, depth + 1, index + (i,))
+
+    fill(mask.bits, 0, ())
+    return table
+
+
+def table_work(p: int, lengths) -> tuple[int, int]:
+    """What joint_count_table costs at the prime p with axes of these
+    lengths: the ANDs and popcounts, in 64-bit words (one table entry or
+    rotation touches ceil(p/64) of them), and the bytes of the rotations it
+    holds."""
+    lengths = list(lengths)
+    words = -(-p // 64)
+    return (math.prod(lengths) + sum(lengths)) * words, 8 * words * sum(lengths[1:])
+
+
 def joint_count(mask: ImageMask, offsets) -> int:
     """Number of image elements t with t + h in the image for every offset h
-    (offsets taken modulo p)."""
-    acc = mask.bits
-    for h in offsets:
-        acc &= mask.rotated(h)
-        if not acc:
-            return 0
-    return acc.bit_count()
+    (offsets taken modulo p): the one-point joint_count_table."""
+    return int(joint_count_table(mask, [[h] for h in offsets]).sum())
 
 
 def _pair_transform_length(p: int) -> int:

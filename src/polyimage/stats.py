@@ -6,7 +6,7 @@ so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
 sum of products of neighbouring gaps -- which is filled in one pass over the
 image as composite.enumerate_image streams it in chunks of whole windows,
-from the masks that composite_stats has built and cached in this process.
+from the masks it builds and caches in this process.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
 q/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
@@ -16,14 +16,14 @@ convert single gap values to floats at the last step.
 The correlation sum runs over the integer points of the dilated window,
 drops the points on the excluded hyperplanes (equal coordinates, zero
 coordinates), and multiplies per-prime joint counts.  A prime's counts depend
-on the point only modulo p, so each prime contributes one table of
-primeimage.joint_count values over at most p residues per axis, gathered
-over the whole box in numpy.
+on the point only modulo p, so each prime contributes one
+primeimage.joint_count_table over at most p residues per axis, gathered
+over the whole box in numpy.  The tables' words and held rotations are
+bounded (MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES) before the first is built.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +39,18 @@ from .composite import (
 )
 from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly
-from .primeimage import image_mask, joint_count
+from .primeimage import image_mask, joint_count_table, table_work
 
 DEFAULT_LATTICE_CAP = 4_000_000
+# Bounds on the per-prime joint-count tables of a correlation sum
+# (primeimage.table_work): 64-bit words ANDed and counted over all primes, and
+# bytes of the rotations one table holds.  A word costs 3-5 ns on a 2-core
+# machine: R_3 of x^2 over (0,1]^2 mod 3*5*...*23*1000003 estimates 6.6e8
+# words and took 2.0 s at 57 MB as a process; with 8000009 for 1000003,
+# 5.3e9 words took 15 s at 234 MB (204 MB of held rotations) and is refused;
+# R_2 mod 3*5*...*29*8000009 over (0,5] estimates 5.0e8 words and took 2.6 s.
+MAX_TABLE_WORDS = 1 << 31
+MAX_TABLE_ROTATION_BYTES = 1 << 28
 # gaps below this bound are counted in one table; fewer than q / bound lie above
 _SMALL_GAPS = 1 << 16
 
@@ -64,13 +73,13 @@ class SpacingSeries:
 
 def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
                    cap_bits: int = DEFAULT_CAP_BITS) -> SpacingSeries:
-    """Gap table of f modulo q, streamed from the image chunk by chunk; the
-    masks composite_stats builds for the degeneracy check are the ones
-    enumerate_image reads from the cache.  Refuses degenerate moduli where
-    the mean spacing is 1 (nothing to normalize)."""
+    """Gap table of f modulo q, streamed from the image chunk by chunk.
+    enumerate_image checks cap_bits before it builds any mask, and the
+    degeneracy check after it reads those masks from the cache.  Refuses
+    degenerate moduli where the mean spacing is 1 (nothing to normalize)."""
+    chunks = enumerate_image(f, modulus, cap_bits=cap_bits)
     if composite_stats(f, modulus).s_q == 1:
         raise DegenerateInputError("degenerate: mean spacing 1")
-    chunks = enumerate_image(f, modulus, cap_bits=cap_bits)
     small, large = np.zeros(_SMALL_GAPS, np.int64), [np.empty(0, np.int64)]
 
     def tally(gaps):
@@ -217,6 +226,21 @@ class CorrelationResult:
     modulus_used: SquareFreeModulus
 
 
+def _check_table_work(primes, shape) -> None:
+    """Raise ResourceCapError, before any table is built, when the per-prime
+    tables over the first min(n, p) residues of each axis would exceed
+    MAX_TABLE_WORDS words in all or MAX_TABLE_ROTATION_BYTES held bytes in one."""
+    work = [table_work(p, [min(n, p) for n in shape]) for p in primes]
+    words = sum(w for w, _ in work)
+    held = max((b for _, b in work), default=0)
+    if words > MAX_TABLE_WORDS:
+        raise ResourceCapError(f"joint-count tables need about {words} word operations; "
+                               f"the cap is {MAX_TABLE_WORDS}")
+    if held > MAX_TABLE_ROTATION_BYTES:
+        raise ResourceCapError(f"a joint-count table holds about {held} bytes of rotations; "
+                               f"the cap is {MAX_TABLE_ROTATION_BYTES}")
+
+
 def correlation(
     f: IntPoly,
     modulus: SquareFreeModulus,
@@ -240,17 +264,14 @@ def correlation(
     total = math.prod(shape)
     if total > lattice_cap:
         raise ResourceCapError(f"{total} lattice points exceed the cap {lattice_cap}")
+    _check_table_work(used.primes, shape)
     # The count at h is the product over p of N_p(h mod p), and along an axis
     # the residues repeat with period p: each prime's table covers the first
     # min(len, p) points of every axis and is gathered over the whole box.
     # No point's product exceeds omega_q, so int64 sums exactly below 2^63.
-    dtype = np.int64 if omega_q * total < 2**63 else object
-    prod = np.ones(shape, dtype)
+    prod = np.ones(shape, np.int64 if omega_q * total < 2**63 else object)
     for p in used.primes:
-        heads = [r[:p] for r in ranges]
-        mask = image_mask(f, p)
-        table = np.array([joint_count(mask, hs) for hs in itertools.product(*heads)], dtype)
-        table = table.reshape([len(r) for r in heads])
+        table = joint_count_table(image_mask(f, p), [r[:p] for r in ranges])
         prod *= table[np.ix_(*(np.arange(n) % p for n in shape))]
     grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))
     drop = np.zeros(shape, bool)

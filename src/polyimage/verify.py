@@ -30,8 +30,8 @@ from .errors import DegenerateInputError
 from .oracle import brute_joint_count
 from .parallel import pmap
 from .polyarith import IntPoly, critical_diffs_mod, is_probable_prime, parse_poly
-from .primeimage import (anomaly_scan, image_mask, joint_count, max_pair_correlation, pair_counts,
-                         prime_stats)
+from .primeimage import (anomaly_scan, image_mask, joint_count, joint_count_table,
+                         max_pair_correlation, pair_counts, prime_stats)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -157,13 +157,8 @@ def check_zero_average() -> CheckResult:
         for p in primes_upto(300):
             mask = image_mask(entry.poly, p)
             w = mask.count
-            s2 = int(pair_counts(mask).sum())
-            rots = [mask.rotated(h) for h in range(p)]
-            s3 = 0
-            for r1 in rots:
-                a = mask.bits & r1
-                if a:
-                    s3 += sum((a & r2).bit_count() for r2 in rots)
+            s2 = int(joint_count_table(mask, [range(p)]).sum())
+            s3 = int(joint_count_table(mask, [range(p), range(p)]).sum())
             checked += 1
             if s2 != w**2 or s3 != w**3:
                 bad += 1

@@ -140,6 +140,27 @@ def test_spacings_unwritable_out_is_invalid_input(capsys, tmp_path):
     assert err.startswith(f"error: cannot write --out {out_path}")
 
 
+def test_spacings_cap_exit_before_any_mask(capsys, monkeypatch):
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    monkeypatch.setattr(primeimage, "compute_image", build)
+    for argv in (["--primes", "200000033,200000039"], ["--modulus", "200000033", "--cap-bits", "1000"]):
+        code, out, err = run(capsys, "spacings", "--poly", "x^3+x", *argv)
+        assert code == 3 and not out and "enumeration cap" in err, argv
+
+
+def test_modulus_and_primes_are_exclusive(capsys):
+    extra = {"correlate": ["--window", "0:1"], "nk": ["--offsets", "1"]}
+    for command in ("image", "correlate", "spacings", "nk"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--poly", "x^2", "--modulus", "105", "--primes", "3,5",
+                  *extra.get(command, [])])
+        assert exc.value.code == 2, command
+        out, err = capsys.readouterr()
+        assert not out and "--primes: not allowed with argument --modulus" in err, command
+
+
 def test_spacings_resource_cap_exit(capsys):
     code, _, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
                        "--cap-bits", "16")
@@ -200,6 +221,15 @@ def test_obstruction_degree_cap_exit_at_once(capsys):
         assert f"degree-{cap + 1} critical-value polynomial" in err, argv
         assert err.strip().endswith(f"the cap is deg C <= {cap}"), argv
         assert time.perf_counter() - start < 2, argv
+
+
+def test_obstruction_work_cap_exit_in_seconds(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "critical", "--poly", "x^21+1000000000000000000000000000000x^2+x")
+    assert code == 3 and not out
+    assert "2087-bit prime" in err and err.strip().endswith(
+        f"the cap is {polyarith.MAX_OBSTRUCTION_WORK}")
+    assert time.perf_counter() - start < 5
 
 
 def test_critical_large_coefficients_and_prime(capsys):

@@ -472,6 +472,35 @@ def test_obstruction_sets_refused_past_degree_cap(monkeypatch):
     assert critical_diffs_infinity(parse_poly(f"x^{cap + 1}+x")).elements == (0,)
 
 
+def test_obstruction_work_estimate():
+    # m^4 * b * (256 + d^2), d the 30-bit digits of a b-bit prime
+    check = polyarith._check_obstruction_work
+    assert polyarith.MAX_OBSTRUCTION_WORK == 2**32
+    for m, bits in ((20, 61), (20, 89), (10, 521), (1, 4000)):
+        check(m, bits)
+    for m, bits, work in ((20, 127, 20**4 * 127 * (256 + 25)),
+                          (10, 1279, 10**4 * 1279 * (256 + 43**2))):
+        with pytest.raises(ResourceCapError, match=rf"degree-{m} .* {bits}-bit prime needs about "
+                                                   rf"{work} digit operations"):
+            check(m, bits)
+
+
+def test_obstruction_sets_refused_past_work_cap(monkeypatch):
+    # C of x^21 + 10^30 x^2 + x has 2176-bit coefficients, so the integer set
+    # would need a Proth prime of about 2090 bits; x^21+3x^7-5x^2+x mod
+    # 2^127 - 1 took 13.9 s.  Both are refused before P or any difference
+    # resultant is sought.
+    called = []
+    monkeypatch.setattr(polyarith, "difference_resultant", called.append)
+    monkeypatch.setattr(polyarith, "_proth_prime", lambda lo, avoid: called.append(lo))
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapError, match=r"degree-20 .* 2087-bit prime .* the cap is 4294967296$"):
+        critical_diffs_infinity(parse_poly("x^21+1000000000000000000000000000000x^2+x"))
+    with pytest.raises(ResourceCapError, match=r"degree-20 .* 127-bit prime"):
+        critical_diffs_mod(parse_poly("x^21+3x^7-5x^2+x"), 2**127 - 1)
+    assert not called and time.perf_counter() - start < 5
+
+
 def test_critical_diffs_mod_wild_case_flagged():
     obs = critical_diffs_mod(parse_poly("x^2"), 2)
     assert obs.approximate

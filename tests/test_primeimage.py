@@ -1,5 +1,6 @@
 """Per-prime images, joint counts, anomaly scans."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -28,6 +29,7 @@ from polyimage.primeimage import (
     image_mask,
     joint_count,
     joint_count_error,
+    joint_count_table,
     max_pair_correlation,
     pair_counts,
     prime_stats,
@@ -191,6 +193,74 @@ def test_joint_count_matches_oracle():
             for _ in range(25):
                 hs = [rng.randrange(p) for _ in range(rng.randrange(1, 3))]
                 assert joint_count(mask, hs) == brute_joint_count(f, p, hs)
+
+
+def _brute_table(f, p, axes):
+    return [brute_joint_count(f, p, hs) for hs in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("row_words", [primeimage._ROW_WORDS, 2], ids=["default", "tiny-blocks"])
+def test_joint_count_table_matches_oracle(monkeypatch, row_words):
+    # k = 2..4, offsets below 0 and at or above p, length-1 axes; with blocks
+    # of 2 words (one at p = 101) a row of 5 spans several blocks
+    monkeypatch.setattr(primeimage, "_ROW_WORDS", row_words)
+    rng = random.Random(53)
+    for f in CORPUS + [parse_poly("5x^3+2")]:
+        for p in (7, 13, 101):
+            mask = image_mask(f, p)
+            for _ in range(6):
+                axes = [[rng.randrange(-2 * p, 2 * p) for _ in range(rng.choice((1, 2, 5)))]
+                        for _ in range(rng.randrange(1, 4))]
+                table = joint_count_table(mask, axes)
+                assert table.dtype == np.int64 and table.shape == tuple(map(len, axes))
+                assert table.ravel().tolist() == _brute_table(f, p, axes), (f, p, axes)
+
+
+def test_joint_count_table_empty_prefix_and_no_axes():
+    # x^6 mod 7 is {0, 1}: no t has t and t + 3 in it, so the prefixes
+    # h_1 = 3 and h_1 = -4 AND to nothing and their sub-tables are 0
+    f = parse_poly("x^6")
+    mask = image_mask(f, 7)
+    axes = [[1, 3, -4], range(7), [0, 2]]
+    table = joint_count_table(mask, axes)
+    assert not table[1].any() and not table[2].any() and table[0].any()
+    assert table.ravel().tolist() == _brute_table(f, 7, axes)
+    none = joint_count_table(mask, [])
+    assert none.shape == () and none == mask.count == 2
+    assert joint_count(mask, []) == 2
+    assert joint_count_table(mask, [[]]).shape == (0,)
+
+
+def test_joint_count_table_at_large_prime():
+    p = 100003
+    assert is_probable_prime(p)
+    for f in (parse_poly("x^3+x"), parse_poly("x^4-2x^2")):
+        mask = image_mask(f, p)
+        axes = [[1, -5, p + 2], [0, 7], [3, p - 1, 2 * p + 11]]
+        table = joint_count_table(mask, axes)
+        assert table.ravel().tolist() == [joint_count(mask, hs)
+                                          for hs in itertools.product(*axes)]
+
+
+def test_joint_count_table_holds_only_its_rotations_and_table():
+    # the peak is the held rotations of the inner axes, the table, one
+    # scratch block of _ROW_WORDS words with its byte counts, and a few p-bit
+    # temporaries (the prefix ANDs, the rotation being built and its words).
+    # Holding axis 0's 40 rotations as well would add 40 * p/8 bytes.
+    p = 100003
+    mask = image_mask(parse_poly("x^3+x"), p)
+    axes = [range(40), range(30), range(20)]
+    held = primeimage.table_work(p, map(len, axes))[1]
+    n = math.ceil(p / 64)
+    assert held == 8 * n * 50
+    scratch = 9 * n * (primeimage._ROW_WORDS // n)
+    tracemalloc.start()
+    try:
+        joint_count_table(mask, axes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held + 8 * 40 * 30 * 20 + scratch + 16 * (p // 8)
 
 
 def test_pair_count_reflection_symmetry():

@@ -30,3 +30,24 @@ def test_unused_module_imports_are_found():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
+
+
+def rotation_callers(source: str) -> set[str]:
+    """Module-level functions and classes whose bodies call `.rotated(`."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "rotated" for call in ast.walk(node))}
+
+
+def test_rotation_callers_are_found():
+    source = ("def a(m):\n    def b():\n        return m.rotated(1)\n    return b\n"
+              "def c(m):\n    return m.rotated\n")
+    assert rotation_callers(source) == {"a"}
+
+
+def test_one_joint_count_kernel():
+    # rotations become joint counts in one place: primeimage.joint_count_table
+    callers = {(path.name, name) for path in SRC.glob("*.py")
+               for name in rotation_callers(path.read_text())}
+    assert callers == {("primeimage.py", "joint_count_table")}

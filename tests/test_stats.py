@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyimage import composite, stats
+from polyimage import composite, primeimage, stats
 from polyimage.composite import enumerate_image, joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, ks_statistic_exponential
@@ -46,6 +46,18 @@ def test_spacing_example_mod_7():
 def test_spacing_degenerate_refusal():
     with pytest.raises(DegenerateInputError, match="mean spacing 1"):
         spacing_series(parse_poly("x"), parse_modulus(15))
+
+
+def test_spacing_cap_refused_before_any_mask(monkeypatch):
+    # the cap holds before the degeneracy check builds a mask: x is a
+    # permutation everywhere, so a mask would also make this degenerate
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    monkeypatch.setattr(primeimage, "compute_image", build)
+    for m in (parse_modulus(105), parse_modulus([200000033, 200000039])):
+        with pytest.raises(ResourceCapError, match="enumeration cap"):
+            spacing_series(parse_poly("x+98765"), m, cap_bits=100)
 
 
 def test_spacing_sums_exact():
@@ -333,6 +345,28 @@ def test_correlation_python_int_path():
         admissible = [hs for hs in box if 0 not in hs and len(set(hs)) == len(hs)]
         assert r.lattice_points == len(admissible)
         assert r.value * omega == sum(joint_count_composite(f, m, hs) for hs in admissible)
+
+
+@pytest.mark.parametrize("cap", ["MAX_TABLE_WORDS", "MAX_TABLE_ROTATION_BYTES"])
+def test_correlation_table_work_refused_before_any_rotation(monkeypatch, cap):
+    # x^2 mod 3*5*7*1009 (s_q = 105945/12120), R_3 over (0,1]^2: 9 residues
+    # per axis, so the table at 1009 holds 9 rotations of 16 words and ANDs
+    # 81 entries plus 18 rotations
+    f, m = parse_poly("x^2"), parse_modulus([3, 5, 7, 1009])
+    window = CorrelationWindow.box((0, 1), (0, 1))
+    words = (3 * 3 + 6) + (5 * 5 + 10) + (7 * 7 + 14) + (9 * 9 + 18) * 16
+    held = 9 * 16 * 8
+    estimate, limit = (words, words - 1) if cap == "MAX_TABLE_WORDS" else (held, held - 1)
+    rotations = []
+    rotated = primeimage.ImageMask.rotated
+    monkeypatch.setattr(primeimage.ImageMask, "rotated",
+                        lambda mask, h: rotations.append(h) or rotated(mask, h))
+    monkeypatch.setattr(stats, cap, limit)
+    with pytest.raises(ResourceCapError, match=rf"about {estimate} .* the cap is {limit}$"):
+        correlation(f, m, window)
+    assert rotations == []
+    monkeypatch.setattr(stats, cap, limit + 1)
+    assert correlation(f, m, window).lattice_points == 9 * 9 - 25 and rotations
 
 
 def test_correlation_degenerate():
