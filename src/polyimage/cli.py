@@ -40,7 +40,6 @@ from .polyarith import (
     IntPoly,
     critical_diffs_infinity,
     critical_diffs_mod,
-    critical_value_poly,
     is_probable_prime,
     parse_poly,
     poly_to_text,
@@ -227,25 +226,20 @@ def _require_prime(p: int) -> int:
 
 
 def cmd_critical(args: argparse.Namespace) -> tuple[int, dict, str]:
+    # the mod-p set first: a refused --prime costs no integer set
     f = _require_poly(args)
-    c = critical_value_poly(f)
+    obs = None if args.prime is None else critical_diffs_mod(f, _require_prime(args.prime))
     inf = critical_diffs_infinity(f)
     result = {
         "poly": poly_to_text(f),
-        "critical_poly": {"coeffs_ascending": list(c.coeffs),
-                          "text": poly_to_text(c, var="y")},
+        "critical_poly": {"coeffs_ascending": list(inf.poly.coeffs),
+                          "text": poly_to_text(inf.poly, var="y")},
         "critical_diffs_integers": list(inf.elements),
     }
-    if args.prime is not None:
-        p = _require_prime(args.prime)
-        obs = critical_diffs_mod(f, p)
-        entry = {"p": p, "elements": list(obs.elements), "approximate": obs.approximate}
-        try:
-            cp = critical_value_poly(f, p)
-            entry["critical_poly_coeffs"] = list(cp.coeffs)
-        except InvalidInputError:
-            entry["critical_poly_coeffs"] = None
-        result["critical_diffs_mod_p"] = entry
+    if obs is not None:
+        result["critical_diffs_mod_p"] = {
+            "p": obs.modulus, "elements": list(obs.elements), "approximate": obs.approximate,
+            "critical_poly_coeffs": None if obs.poly is None else list(obs.poly.coeffs)}
     return 0, result, f"critical structure of {args.poly}: integer diffs {list(inf.elements)}"
 
 
@@ -350,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("spacings", "gap statistics and KS test")
     p.add_argument("--bins", type=_at_least_one,
                    help=f"with --out; default 50, at most {MAX_BINS}")
-    p.add_argument("--cap-bits", dest="cap_bits", type=int, default=DEFAULT_CAP_BITS)
+    p.add_argument("--cap-bits", dest="cap_bits", type=_at_least_one, default=DEFAULT_CAP_BITS)
     p.add_argument("--out", help="write the gap histogram to this path")
     p.add_argument("--format", choices=["json", "csv"], help="with --out; default csv")
 

@@ -8,9 +8,9 @@ enough primes below 2^62, combined by Chinese remaindering), roots over F_p,
 the critical-value polynomial of a map x -> f(x), and the obstruction sets of
 critical-value differences: the integer differences and, per prime, the
 residues h for which two critical values collide after a shift by h, both
-read off the F_p-roots of one difference resultant, whose degree m^2 is
-bounded through m = deg C <= MAX_CRITICAL_DEGREE, and whose cost in the size
-of the reduction prime is bounded by MAX_OBSTRUCTION_WORK.
+found by collision_shifts from the shift resultants Res_y(C(y), C(y + h)) mod
+a prime, with m = deg C <= MAX_CRITICAL_DEGREE and the cost in the size of
+the prime bounded by MAX_OBSTRUCTION_WORK.
 Offsets whose pairwise differences avoid the mod-p obstruction set are
 exactly the ones where joint image counts follow the independence model.
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count, zip_longest
 
@@ -606,12 +606,14 @@ def resultant_x(a, b):
 class ObstructionSet:
     """Differences of critical values: integers (kind "infinity") or residues
     modulo a prime (kind "mod").  Offsets h with h in the set are the ones
-    where shifted critical-value sets overlap."""
+    where shifted critical-value sets overlap.  `poly` is the C the set was
+    read from (None in the wild regime), left out of comparisons."""
 
     kind: str
     modulus: int | None
     elements: tuple[int, ...]
     approximate: bool = False
+    poly: IntPoly | FpPoly | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_members", frozenset(self.elements))
@@ -646,19 +648,23 @@ def critical_value_poly(f: IntPoly, p: int | None = None):
     return c.monic()
 
 
-def difference_resultant(c):
-    """R(h) = Res_y(C(y), C(y + h)) for C over Z or F_p of degree m >= 1.
+def difference_resultant(c: FpPoly) -> FpPoly:
+    """R(h) = Res_y(C(y), C(y + h)) for C over F_p of degree m >= 1, p > m^2.
 
     R(h) = lc(C)^(2m) * prod (h + a - b) over pairs of roots a, b of C, so it
     has degree m^2, is never zero, and its roots are exactly the h with
-    gcd(C(y), C(y + h)) nonconstant.  The coefficient of h^j in C(y + h) is
-    the Hasse derivative sum_k c_k * binom(k, j) * y^(k - j).
+    gcd(C(y), C(y + h)) nonconstant.  It is interpolated from R(0), ..., R(m^2).
     """
-    m = c.degree
-    hasse = [[c.coeffs[k] * math.comb(k, j) for k in range(j, m + 1)] for j in range(m + 1)]
-    if isinstance(c, FpPoly):
-        return resultant_x(c, [FpPoly(c.p, _trim(v % c.p for v in row)) for row in hasse])
-    return resultant_x(c, [IntPoly(_trim(row)) for row in hasse])
+    return _interp_fp(c.p, [(h, fp_resultant(c, c.shifted(h))) for h in range(c.degree**2 + 1)])
+
+
+def collision_shifts(c: FpPoly) -> list[int]:
+    """The h in F_p, ascending, where C meets its own translate: the zeros of
+    R(h) = Res_y(C(y), C(y + h)), read off R(0), ..., R(p - 1) for p <= m^2
+    (m = deg C), else the roots of difference_resultant(c)."""
+    if c.p <= c.degree**2:
+        return [h for h in range(c.p) if fp_resultant(c, c.shifted(h)) == 0]
+    return fp_roots(difference_resultant(c))
 
 
 # Largest m = deg C whose obstruction sets are computed: rooting the degree-m^2
@@ -700,7 +706,7 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     """Integers r that occur as a difference of two critical values of f,
     i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
 
-    These are the integer roots of R = difference_resultant(C), of degree
+    These are the integer roots of R(h) = Res_y(C(y), C(y + h)), of degree
     m^2 (m = deg C).  Each root is a difference of two roots of C, so
     |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|)) by Cauchy's bound.  Mod a
     prime P > max(2B, m^2) not dividing lc(C), R reduces to
@@ -717,17 +723,14 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     _check_obstruction_work(c.degree, lo.bit_length() + 1)
     prime = _proth_prime(lo, c.leading)
     lifted = (h if 2 * h < prime else h - prime
-              for h in fp_roots(difference_resultant(FpPoly.from_int_poly(c, prime))))
+              for h in collision_shifts(FpPoly.from_int_poly(c, prime)))
     return ObstructionSet("infinity", None, tuple(
-        sorted(h for h in lifted if int_resultant(c, c.shifted(h)) == 0)))
+        sorted(h for h in lifted if int_resultant(c, c.shifted(h)) == 0)), poly=c)
 
 
 def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     """Residues h in [0, p) where the mod-p critical-value set meets its own
-    translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0: the F_p-roots of
-    difference_resultant(C_p).  For p <= m^2 (m = deg C_p) there are too few
-    interpolation nodes for that resultant, and each h is tested by
-    Res(C_p(y), C_p(y+h)) = 0 instead.
+    translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0: collision_shifts(C_p).
 
     In the wild regime (f' degenerate mod p) falls back to scanning critical
     points in F_p itself; the result is then flagged approximate because
@@ -744,12 +747,5 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
                   if dbar.is_zero or dbar.evaluate(x) == 0}
         diffs = {(a - b) % p for a in values for b in values}
         return ObstructionSet("mod", p, tuple(sorted(diffs)), approximate=True)
-    m = c.degree
-    _check_obstruction_work(m, p.bit_length())
-    if m < 1:
-        hits = []
-    elif p <= m * m:
-        hits = [h for h in range(p) if fp_resultant(c, c.shifted(h)) == 0]
-    else:
-        hits = fp_roots(difference_resultant(c))
-    return ObstructionSet("mod", p, tuple(hits))
+    _check_obstruction_work(c.degree, p.bit_length())
+    return ObstructionSet("mod", p, tuple(collision_shifts(c)), poly=c)

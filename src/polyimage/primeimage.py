@@ -208,16 +208,20 @@ def joint_count_table(mask: ImageMask, axes) -> np.ndarray:
     the innermost as rows of uint64 words (about sum len(a) * p/8 bytes in
     all, table_work), against which a prefix's row is ANDed and counted by
     np.bitwise_count, _ROW_WORDS words per call.  Converting a rotation to
-    words costs about as much as one AND and count, so a one-axis table,
-    which uses each rotation once, ANDs and counts them as ints instead."""
+    words costs about as much as one AND and count, so a table of one row
+    (every outer axis of length 1), which uses each rotation once, ANDs the
+    outer rotations into its prefix and counts the row as ints instead."""
     axes = [list(a) for a in axes]
     table = np.zeros([len(a) for a in axes], np.int64)
     if not axes:
         table[()] = mask.count
         return table
     *outer, inner = axes
-    if not outer:
-        table[:] = [(mask.bits & mask.rotated(h)).bit_count() for h in inner]
+    if all(len(a) == 1 for a in outer):
+        acc = mask.bits
+        for (h,) in outer:
+            acc &= mask.rotated(h)
+        table[(0,) * len(outer)] = [(acc & mask.rotated(h)).bit_count() for h in inner]
         return table
     n = -(-mask.p // 64)
     held = np.empty((len(inner), n), np.uint64)

@@ -161,6 +161,15 @@ def test_modulus_and_primes_are_exclusive(capsys):
         assert not out and "--primes: not allowed with argument --modulus" in err, command
 
 
+def test_cap_bits_below_one_rejected(capsys):
+    for bits in ("-5", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["spacings", "--poly", "x^2", "--modulus", "105", "--cap-bits", bits])
+        assert exc.value.code == 2, bits
+        out, err = capsys.readouterr()
+        assert not out and "--cap-bits: must be at least 1" in err, bits
+
+
 def test_spacings_resource_cap_exit(capsys):
     code, _, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
                        "--cap-bits", "16")
@@ -232,6 +241,37 @@ def test_obstruction_work_cap_exit_in_seconds(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_refused_prime_costs_no_integer_set(capsys, monkeypatch):
+    # the mod-p set comes first, so its refusal exits before the Proth prime
+    # of the integer set is sought
+    def proth(lo, avoid):
+        raise AssertionError("integer set computed")
+
+    monkeypatch.setattr(polyarith, "_proth_prime", proth)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "critical", "--poly", "x^21+3x^7-5x^2+x",
+                         "--prime", str(2**127 - 1))
+    assert code == 3 and not out and "127-bit prime" in err
+    assert time.perf_counter() - start < 2
+
+
+def test_critical_reads_each_critical_value_poly_once(capsys, monkeypatch):
+    rings = []
+
+    def counted(f, p=None):
+        rings.append(p)
+        return critical_value_poly(f, p)
+
+    critical_value_poly = polyarith.critical_value_poly
+    monkeypatch.setattr(polyarith, "critical_value_poly", counted)
+    # C = y(y + 1)^2 mod 7; 7x^2 + 5 is constant mod 7, the wild regime
+    for poly, p, want in (("x^4-2x^2", 7, [0, 1, 2, 1]), ("7x^2+5", 7, None)):
+        rings.clear()
+        code, out, _ = run(capsys, "critical", "--poly", poly, "--prime", str(p))
+        assert code == 0 and rings == [7, None], poly
+        assert json.loads(out)["result"]["critical_diffs_mod_p"]["critical_poly_coeffs"] == want
+
+
 def test_critical_large_coefficients_and_prime(capsys):
     # integer sets whose root bound is in the millions, and a 61-bit prime
     for poly, want in (("x^3-300x", [-4000, 0, 4000]), ("x^4-200x^2", [-10000, 0, 10000])):
@@ -255,6 +295,7 @@ def test_image_unfactorable_modulus_exit(capsys):
 
 def test_image_mask_cap_exit(capsys, monkeypatch):
     monkeypatch.setattr(primeimage, "MAX_MASK_PRIME", 1000)
+    primeimage.image_mask.cache_clear()  # a mask of x^2 mod 1009 built earlier skips the cap
     code, out, err = run(capsys, "image", "--poly", "x^2", "--primes", "1009", "--workers", "1")
     assert code == 3 and not out
     assert err.strip() == ("resource cap: image mask at p=1009 walks 504 points with a "

@@ -216,6 +216,21 @@ def test_joint_count_table_matches_oracle(monkeypatch, row_words):
                 assert table.ravel().tolist() == _brute_table(f, p, axes), (f, p, axes)
 
 
+def test_one_row_table_counts_as_ints(monkeypatch):
+    # every outer axis of length 1: no rotation is converted to words
+    def words(bits, n):
+        raise AssertionError("rotation converted to words")
+
+    monkeypatch.setattr(primeimage, "_words", words)
+    f = parse_poly("x^3+x")
+    mask = image_mask(f, 101)
+    for axes in ([[3], [-7], [0, 5, 250]], [[1], [2], [3], [4]], [[2], range(101)]):
+        table = joint_count_table(mask, axes)
+        assert table.shape == tuple(map(len, axes))
+        assert table.ravel().tolist() == _brute_table(f, 101, axes), axes
+    assert joint_count(mask, [1, 2, 3]) == brute_joint_count(f, 101, [1, 2, 3])
+
+
 def test_joint_count_table_empty_prefix_and_no_axes():
     # x^6 mod 7 is {0, 1}: no t has t and t + 3 in it, so the prefixes
     # h_1 = 3 and h_1 = -4 AND to nothing and their sub-tables are 0

@@ -32,22 +32,34 @@ def test_no_unused_module_imports(path):
     assert unused_module_imports(path.read_text()) == []
 
 
-def rotation_callers(source: str) -> set[str]:
-    """Module-level functions and classes whose bodies call `.rotated(`."""
+def callers(source: str, name: str) -> set[str]:
+    """Module-level functions and classes whose bodies call `name(` or `.name(`."""
+    def called(func) -> str | None:
+        return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
     return {node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr == "rotated" for call in ast.walk(node))}
+            and any(isinstance(call, ast.Call) and called(call.func) == name
+                    for call in ast.walk(node))}
+
+
+def package_callers(name: str) -> set[tuple[str, str]]:
+    return {(path.name, caller) for path in SRC.glob("*.py")
+            for caller in callers(path.read_text(), name)}
 
 
 def test_rotation_callers_are_found():
     source = ("def a(m):\n    def b():\n        return m.rotated(1)\n    return b\n"
-              "def c(m):\n    return m.rotated\n")
-    assert rotation_callers(source) == {"a"}
+              "def c(m):\n    return m.rotated\n"
+              "def d(g):\n    return rotated(g)\n")
+    assert callers(source, "rotated") == {"a", "d"}
 
 
 def test_one_joint_count_kernel():
     # rotations become joint counts in one place: primeimage.joint_count_table
-    callers = {(path.name, name) for path in SRC.glob("*.py")
-               for name in rotation_callers(path.read_text())}
-    assert callers == {("primeimage.py", "joint_count_table")}
+    assert package_callers("rotated") == {("primeimage.py", "joint_count_table")}
+
+
+def test_one_collision_shift_algorithm():
+    # both obstruction sets root R(h) in one place: polyarith.collision_shifts
+    assert package_callers("fp_roots") == {("polyarith.py", "collision_shifts")}
