@@ -2,17 +2,19 @@
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) with no trailing
 zeros; the zero polynomial is the empty tuple.  On top of the ring operations
-this module provides primality and the package's one integer factorizer
-(_factor), resultants (Euclid over F_p; over Z the same F_p computation at
-enough primes below 2^62, combined by Chinese remaindering), roots over F_p,
-the critical-value polynomial of a map x -> f(x), and the obstruction sets of
-critical-value differences: the integer differences and, per prime, the
-residues h for which two critical values collide after a shift by h, both
-found by collision_shifts from the shift resultants Res_y(C(y), C(y + h)) mod
-a prime, with m = deg C <= MAX_CRITICAL_DEGREE and the cost in the size of
-the prime bounded by MAX_OBSTRUCTION_WORK.
-Offsets whose pairwise differences avoid the mod-p obstruction set are
-exactly the ones where joint image counts follow the independence model.
+this module provides primality, the package's one integer factorizer
+(_factor), roots over F_p, and one resultant algorithm, fp_resultant (Euclid
+over F_p).  Every other resultant is its values, interpolated in a second
+variable or lifted by CRT from primes below 2^62: int_resultant, the
+critical-value polynomial C(y) = Res_x(f'(x), y - f(x)) of f, and the shift
+resultants R(h) = Res_y(C(y), C(y + h)).  The obstruction sets of
+critical-value differences (the integer differences and, per prime, the
+residues h where two critical values collide after a shift by h) are the
+zeros of R mod a prime, found by collision_shifts.  m = deg C is read from f
+and capped by MAX_CRITICAL_DEGREE before any resultant, and the cost in the
+size of the prime is bounded by MAX_OBSTRUCTION_WORK.  Offsets whose pairwise
+differences avoid the mod-p obstruction set are exactly the ones where joint
+image counts follow the independence model.
 
 Everything here is pure and exact; nothing touches floating point.
 """
@@ -495,12 +497,22 @@ def _lift(at_prime, bound: int, avoid: int) -> list[int]:
     return [v - modulus if 2 * v > modulus else v for v in values]
 
 
+def _resultant_bound(a_row, b_row) -> int:
+    """Hadamard's bound on |Res(a, b)| from the coefficient rows of a and b:
+    the Sylvester matrix holds deg b rows of a and deg a rows of b.  An entry
+    that is a polynomial in y, such as y - f_0, counts as the sum of its
+    |coefficients| (Goldstein-Graham, SIAM Review 1974)."""
+    return math.isqrt(sum(v * v for v in a_row) ** (len(b_row) - 1)
+                      * sum(v * v for v in b_row) ** (len(a_row) - 1)) + 1
+
+
 def int_resultant(a: IntPoly, b: IntPoly) -> int:
-    """Res(a, b) over Z: resultant_x of a and the y-free b, so fp_resultant
-    at large primes lifted by CRT."""
+    """Res(a, b) over Z: fp_resultant at primes below 2^62 that keep both
+    degrees, lifted by CRT."""
     if a.is_zero or b.is_zero:
         return 0
-    return resultant_x(a, [b]).evaluate(0)
+    return _lift(lambda q: [fp_resultant(FpPoly.from_int_poly(a, q), FpPoly.from_int_poly(b, q))],
+                 _resultant_bound(a.coeffs, b.coeffs), a.leading * b.leading)[0]
 
 
 def fp_resultant(a: FpPoly, b: FpPoly) -> int:
@@ -549,56 +561,6 @@ def _interp_fp(p: int, points: list[tuple[int, int]]) -> FpPoly:
     return FpPoly(p, _trim(v % p for v in out))
 
 
-def resultant_x(a, b):
-    """Eliminate x between a(x) and b, a sequence of polynomials in x (the
-    coefficients of powers of a second variable y): the resultant is a
-    polynomial in y, over F_p by evaluating y at enough nodes and
-    interpolating, over Z by lifting that F_p result from large primes.
-    Scalar resultants are int_resultant and fp_resultant.
-    """
-    coeffs_y = list(b)
-    if a.is_zero:
-        raise InvalidInputError("resultant with zero polynomial")
-    dx = max(c.degree for c in coeffs_y if not c.is_zero)
-    lead_y = [(j, c.coeffs[dx]) for j, c in enumerate(coeffs_y) if c.degree == dx]
-
-    if isinstance(a, IntPoly):
-        # Primes not dividing lc(a) or one x^dx coefficient keep every degree
-        # mod p.  Each coefficient is bounded by Hadamard's bound on the
-        # Sylvester rows, an entry (a polynomial in y) counted by the sum of
-        # its |coefficients| (Goldstein-Graham, SIAM Review 1974).
-        col = [sum(abs(c.coeffs[i]) for c in coeffs_y if i <= c.degree) for i in range(dx + 1)]
-        bound = math.isqrt(sum(v * v for v in a.coeffs) ** dx
-                           * sum(v * v for v in col) ** a.degree) + 1
-        return IntPoly.from_coeffs(_lift(
-            lambda p: resultant_x(FpPoly.from_int_poly(a, p),
-                                  [FpPoly.from_int_poly(c, p) for c in coeffs_y]).coeffs,
-            bound, a.leading * lead_y[0][1]))
-
-    p = a.p
-    deg_bound = a.degree * (len(coeffs_y) - 1)
-
-    def at_fp(y0: int) -> FpPoly:
-        out = [0] * (dx + 1)
-        for j, c in enumerate(coeffs_y):
-            w = pow(y0, j, p)
-            for i, v in enumerate(c.coeffs):
-                out[i] = (out[i] + v * w) % p
-        return FpPoly(p, _trim(out))
-
-    points = []
-    for y0 in range(p):
-        if len(points) == deg_bound + 1:
-            break
-        if sum(c * pow(y0, j, p) for j, c in lead_y) % p:
-            points.append((y0, fp_resultant(a, at_fp(y0))))
-    if len(points) < deg_bound + 1:
-        raise WildModulusError(
-            f"p={p} leaves too few interpolation nodes for the resultant"
-        )
-    return _interp_fp(p, points)
-
-
 # ---------------------------------------------------------------------------
 # critical values and obstruction sets
 
@@ -624,6 +586,23 @@ class ObstructionSet:
         return h in self._members
 
 
+def _critical_resultant(f: IntPoly, p: int) -> FpPoly:
+    """Res_x(f'(x), y - f(x)) mod p, of degree deg f' in y, interpolated
+    from its values fp_resultant(f', y - f) at y = 0, ..., deg f'.  Raises
+    WildModulusError when f is constant or f' vanishes mod p, or when
+    p <= deg f' leaves too few nodes."""
+    fbar = FpPoly.from_int_poly(f, p)
+    if fbar.degree < 1:
+        raise WildModulusError(f"f is constant mod {p}")
+    dbar = fbar.derivative()
+    if dbar.is_zero:
+        raise WildModulusError(f"f' vanishes identically mod {p}")
+    if p <= dbar.degree:
+        raise WildModulusError(f"p={p} leaves too few interpolation nodes for the resultant")
+    return _interp_fp(p, [(y, fp_resultant(dbar, FpPoly.of(p, y) - fbar))
+                          for y in range(dbar.degree + 1)])
+
+
 def critical_value_poly(f: IntPoly, p: int | None = None):
     """The polynomial C(y) = Res_x(f'(x), y - f(x)) whose roots (with
     multiplicity) are the critical values of f: over Z when p is None
@@ -634,18 +613,12 @@ def critical_value_poly(f: IntPoly, p: int | None = None):
     """
     if f.degree < 2:
         raise DegenerateInputError("no critical structure: deg f < 2")
-    if p is None:
-        fp = f.derivative()
-        c = resultant_x(fp, [-f, IntPoly.of(1)])
-        return c.primitive()
-    fbar = FpPoly.from_int_poly(f, p)
-    if fbar.degree < 1:
-        raise WildModulusError(f"f is constant mod {p}")
-    dbar = fbar.derivative()
-    if dbar.is_zero:
-        raise WildModulusError(f"f' vanishes identically mod {p}")
-    c = resultant_x(dbar, [FpPoly(p, tuple((-v) % p for v in fbar.coeffs)), FpPoly.of(p, 1)])
-    return c.monic()
+    if p is not None:
+        return _critical_resultant(f, p).monic()
+    fp = f.derivative()
+    bound = _resultant_bound(fp.coeffs, [abs(f.coeffs[0]) + 1, *map(abs, f.coeffs[1:])])
+    return IntPoly.from_coeffs(_lift(lambda q: _critical_resultant(f, q).coeffs,
+                                     bound, fp.leading * f.leading)).primitive()
 
 
 def difference_resultant(c: FpPoly) -> FpPoly:
@@ -683,13 +656,15 @@ MAX_OBSTRUCTION_WORK = 1 << 32
 
 def _obstruction_poly(f: IntPoly, p: int | None = None):
     """critical_value_poly(f, p), refused with ResourceCapError when its
-    degree exceeds MAX_CRITICAL_DEGREE, before any difference resultant."""
-    c = critical_value_poly(f, p)
-    if c.degree > MAX_CRITICAL_DEGREE:
-        raise ResourceCapError(f"the obstruction set of a degree-{c.degree} critical-value "
-                               f"polynomial needs a degree-{c.degree**2} difference resultant; "
+    degree m exceeds MAX_CRITICAL_DEGREE.  m is read from f before any
+    resultant: deg f - 1 over Z, deg f' mod p (m >= p is the wild regime,
+    where critical_value_poly raises WildModulusError instead)."""
+    m = f.degree - 1 if p is None else FpPoly.from_int_poly(f, p).derivative().degree
+    if m > MAX_CRITICAL_DEGREE and (p is None or m < p):
+        raise ResourceCapError(f"the obstruction set of a degree-{m} critical-value "
+                               f"polynomial needs a degree-{m**2} difference resultant; "
                                f"the cap is deg C <= {MAX_CRITICAL_DEGREE}")
-    return c
+    return critical_value_poly(f, p)
 
 
 def _check_obstruction_work(m: int, bits: int) -> None:

@@ -18,8 +18,9 @@ drops the points on the excluded hyperplanes (equal coordinates, zero
 coordinates), and multiplies per-prime joint counts.  A prime's counts depend
 on the point only modulo p, so each prime contributes one
 primeimage.joint_count_table over at most p residues per axis, gathered
-over the whole box in numpy.  The tables' words and held rotations are
-bounded (MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES) before the first is built.
+over the whole box in numpy.  The box's points (MAX_LATTICE_POINTS) and the
+tables' words and held rotations (MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES)
+are bounded before the first table is built.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly
 from .primeimage import image_mask, joint_count_table, table_work
 
-DEFAULT_LATTICE_CAP = 4_000_000
+MAX_LATTICE_POINTS = 4_000_000
 # Bounds on the per-prime joint-count tables of a correlation sum
 # (primeimage.table_work): 64-bit words ANDed and counted over all primes, and
 # bytes of the rotations one table holds.  A word costs 3-5 ns on a 2-core
@@ -245,7 +246,6 @@ def correlation(
     f: IntPoly,
     modulus: SquareFreeModulus,
     window: CorrelationWindow,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
     reduce_permutations: bool = True,
 ) -> CorrelationResult:
     """The k-level correlation of the image of f modulo q over the window:
@@ -262,8 +262,8 @@ def correlation(
     ranges = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in window.intervals]
     shape = tuple(len(r) for r in ranges)
     total = math.prod(shape)
-    if total > lattice_cap:
-        raise ResourceCapError(f"{total} lattice points exceed the cap {lattice_cap}")
+    if total > MAX_LATTICE_POINTS:
+        raise ResourceCapError(f"{total} lattice points exceed the cap {MAX_LATTICE_POINTS}")
     _check_table_work(used.primes, shape)
     # The count at h is the product over p of N_p(h mod p), and along an axis
     # the residues repeat with period p: each prime's table covers the first

@@ -219,17 +219,21 @@ def test_critical_command(capsys):
     assert r["critical_diffs_integers"] == [0]
 
 
-def test_obstruction_degree_cap_exit_at_once(capsys):
+def test_obstruction_degree_cap_exit_at_once(capsys, monkeypatch):
+    # deg C is read from f, before any resultant: building C of x^320 + x
+    # over Z alone takes seconds
     cap = polyarith.MAX_CRITICAL_DEGREE
-    poly = f"x^{cap + 2}+x"  # deg C = cap + 1
-    for argv in (["critical", "--poly", poly], ["critical", "--poly", poly, "--prime", "50021"],
-                 ["verify", "anomaly", "--poly", poly, "--prime", "50021"]):
-        start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
-        assert code == 3 and not out, argv
-        assert f"degree-{cap + 1} critical-value polynomial" in err, argv
-        assert err.strip().endswith(f"the cap is deg C <= {cap}"), argv
-        assert time.perf_counter() - start < 2, argv
+    calls = []
+    monkeypatch.setattr(polyarith, "fp_resultant", lambda a, b: calls.append((a, b)))
+    for poly, m, p in ((f"x^{cap + 2}+x", cap + 1, "50021"), ("x^320+x", 319, "1000003")):
+        for argv in (["critical", "--poly", poly], ["critical", "--poly", poly, "--prime", p],
+                     ["verify", "anomaly", "--poly", poly, "--prime", p]):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert code == 3 and not out, argv
+            assert f"degree-{m} critical-value polynomial" in err, argv
+            assert err.strip().endswith(f"the cap is deg C <= {cap}"), argv
+            assert not calls and time.perf_counter() - start < 2, argv
 
 
 def test_obstruction_work_cap_exit_in_seconds(capsys):

@@ -33,7 +33,6 @@ from polyimage.polyarith import (
     int_resultant,
     parse_poly,
     poly_to_text,
-    resultant_x,
 )
 
 CORPUS = [parse_poly(t) for t in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2")]
@@ -243,16 +242,12 @@ def test_resultant_zero_iff_common_root():
         assert (fp_resultant(a, b) == 0) == (fp_gcd(a, b).degree > 0)
 
 
-def test_resultant_x_spec_examples():
-    one = IntPoly.of(1)
-    f = parse_poly("x^2")
-    r = resultant_x(f.derivative(), [-f, one])
+def test_critical_value_poly_spec_examples():
+    r = critical_value_poly(parse_poly("x^2"))
     assert r.degree == 1 and r.coeffs[0] == 0  # c*y
-    f = parse_poly("x^3")
-    r = resultant_x(f.derivative(), [-f, one])
+    r = critical_value_poly(parse_poly("x^3"))
     assert r.degree == 2 and r.coeffs[:2] == (0, 0)  # c*y^2
-    f = parse_poly("x^4-2x^2")
-    r = resultant_x(f.derivative(), [-f, one]).primitive()
+    r = critical_value_poly(parse_poly("x^4-2x^2"))
     assert r == parse_poly("x^3+2x^2+x")  # y(y+1)^2 up to the variable name
 
 
@@ -291,11 +286,6 @@ def test_interp_fp_takes_the_values_at_600_nodes():
     points = [(x, rng.randrange(p)) for x in rng.sample(range(p), 600)]
     g = polyarith._interp_fp(p, points)
     assert g.degree < 600 and all(g.evaluate(x) == y for x, y in points)
-
-
-def test_resultant_x_rejects_zero():
-    with pytest.raises(InvalidInputError):
-        resultant_x(IntPoly(()), [parse_poly("x"), IntPoly.of(1)])
 
 
 # --- critical values -----------------------------------------------------------
@@ -457,13 +447,18 @@ def test_obstruction_sets_refused_past_degree_cap(monkeypatch):
     built = []
     monkeypatch.setattr(polyarith, "difference_resultant", built.append)
     monkeypatch.setattr(polyarith, "collision_shifts", built.append)
-    f = parse_poly(f"x^{cap + 2}+x")  # deg C = cap + 1
+    monkeypatch.setattr(polyarith, "fp_resultant", lambda a, b: built.append((a, b)))
     start = time.perf_counter()
-    # 101 <= (cap + 1)^2 takes the per-shift branch, 50021 the resultant one
-    for run in (lambda: critical_diffs_infinity(f), lambda: critical_diffs_mod(f, 50021),
-                lambda: critical_diffs_mod(f, 101)):
-        with pytest.raises(ResourceCapError, match=rf"degree-{cap + 1} .* deg C <= {cap}$"):
-            run()
+    # deg C is read from f, so x^320 + x is refused without building its C;
+    # 101 <= (cap + 1)^2 would take the per-shift branch, 50021 the resultant one
+    for f, m, primes in ((parse_poly(f"x^{cap + 2}+x"), cap + 1, (50021, 101)),
+                         (parse_poly("x^320+x"), 319, (50021,))):
+        for run in (lambda: critical_diffs_infinity(f),
+                    *(lambda p=p: critical_diffs_mod(f, p) for p in primes)):
+            with pytest.raises(ResourceCapError, match=rf"degree-{m} .* deg C <= {cap}$"):
+                run()
+    # p <= deg f' mod p is the wild regime, scanned rather than refused
+    assert critical_diffs_mod(parse_poly(f"x^{cap + 2}+x"), 13).approximate
     assert not built and time.perf_counter() - start < 2
     monkeypatch.undo()
     assert critical_diffs_infinity(parse_poly(f"x^{cap + 1}+x")).elements == (0,)

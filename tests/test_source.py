@@ -63,3 +63,45 @@ def test_one_joint_count_kernel():
 def test_one_collision_shift_algorithm():
     # both obstruction sets root R(h) in one place: polyarith.collision_shifts
     assert package_callers("fp_roots") == {("polyarith.py", "collision_shifts")}
+
+
+def test_one_resultant_route():
+    # fp_resultant is the one resultant algorithm: its values are CRT-lifted
+    # in two places and interpolated in two
+    assert package_callers("_lift") == {("polyarith.py", "int_resultant"),
+                                        ("polyarith.py", "critical_value_poly")}
+    assert package_callers("_interp_fp") == {("polyarith.py", "difference_resultant"),
+                                             ("polyarith.py", "_critical_resultant")}
+
+
+def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """Module-level functions and classes that no code outside their own
+    definition reads by name or attribute; __init__.py re-exports do not count."""
+    def names(nodes) -> set[str]:
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for node in nodes for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    trees = {name: ast.parse(source) for name, source in sources.items()
+             if name != "__init__.py"}
+    out = set()
+    for name, tree in trees.items():
+        defs = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        elsewhere = names(t for other, t in trees.items() if other != name)
+        for node in defs:
+            if node.name not in elsewhere | names(n for n in tree.body if n is not node):
+                out.add((name, node.name))
+    return out
+
+
+def test_unreferenced_definitions_are_found():
+    sources = {"a.py": "def f():\n    return f()\ndef g():\n    return h\nclass C:\n    pass\n",
+               "b.py": "from .a import C\ndef h():\n    return C()\n",
+               "__init__.py": "from .a import f\n"}
+    assert unreferenced(sources) == {("a.py", "f"), ("a.py", "g")}
+
+
+def test_every_definition_is_used():
+    # the oracle's naive references exist for the tests alone
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert {(m, d) for m, d in unreferenced(sources) if m != "oracle.py"} == set()

@@ -374,10 +374,10 @@ def test_correlation_degenerate():
         correlation(parse_poly("x"), parse_modulus(105), CorrelationWindow.box((0, 1)))
 
 
-def test_correlation_lattice_cap():
+def test_correlation_lattice_cap(monkeypatch):
+    monkeypatch.setattr(stats, "MAX_LATTICE_POINTS", 2)
     with pytest.raises(ResourceCapError):
-        correlation(parse_poly("x^2"), parse_modulus(105),
-                    CorrelationWindow.box((0, 1)), lattice_cap=2)
+        correlation(parse_poly("x^2"), parse_modulus(105), CorrelationWindow.box((0, 1)))
 
 
 def test_window_validation():
