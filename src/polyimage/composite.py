@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -42,16 +42,6 @@ class SquareFreeModulus:
     primes: tuple[int, ...]
     q: int
 
-    @classmethod
-    def from_primes(cls, primes) -> "SquareFreeModulus":
-        ps = sorted(primes)
-        for p in ps:
-            if not is_probable_prime(p):
-                raise InvalidInputError(f"{p} is not prime")
-        if len(set(ps)) != len(ps):
-            raise NotSquareFreeError(f"repeated prime in {ps}")
-        return cls(tuple(ps), reduce(lambda a, b: a * b, ps, 1))
-
 
 def parse_modulus(spec) -> SquareFreeModulus:
     """Validated square-free modulus from an integer or an explicit prime list."""
@@ -62,10 +52,15 @@ def parse_modulus(spec) -> SquareFreeModulus:
         if len(set(factors)) != len(factors):
             raise NotSquareFreeError(f"{spec} is not square-free")
         return SquareFreeModulus(tuple(factors), spec)
-    primes = list(spec)
+    primes = sorted(spec)
     if not primes:
         raise InvalidInputError("empty prime list")
-    return SquareFreeModulus.from_primes(primes)
+    for p in primes:
+        if not is_probable_prime(p):
+            raise InvalidInputError(f"{p} is not prime")
+    if len(set(primes)) != len(primes):
+        raise NotSquareFreeError(f"repeated prime in {primes}")
+    return SquareFreeModulus(tuple(primes), math.prod(primes))
 
 
 @dataclass(frozen=True)
@@ -87,7 +82,7 @@ def composite_stats(f: IntPoly, modulus: SquareFreeModulus, workers: int = 1) ->
         s_q *= st.s_p
         if not st.is_permutation:
             kept.append(st.p)
-    q1 = SquareFreeModulus(tuple(kept), reduce(lambda a, b: a * b, kept, 1))
+    q1 = SquareFreeModulus(tuple(kept), math.prod(kept))
     return CompositeStats(modulus, size, s_q, q1, tuple(stats))
 
 

@@ -1,20 +1,24 @@
 """Exact polynomial arithmetic over Z and F_p.
 
 Coefficients are stored ascending (coeffs[i] multiplies x**i) with no trailing
-zeros; the zero polynomial is the empty tuple.  On top of the ring operations
-this module provides primality, the package's one integer factorizer
-(_factor), roots over F_p, and one resultant algorithm, fp_resultant (Euclid
-over F_p).  Every other resultant is its values, interpolated in a second
-variable or lifted by CRT from primes below 2^62: int_resultant, the
-critical-value polynomial C(y) = Res_x(f'(x), y - f(x)) of f, and the shift
-resultants R(h) = Res_y(C(y), C(y + h)).  The obstruction sets of
-critical-value differences (the integer differences and, per prime, the
-residues h where two critical values collide after a shift by h) are the
+zeros; the zero polynomial is the empty tuple.  The IntPoly and FpPoly
+constructors alone normalize (FpPoly also reduces mod p), and parse_poly
+refuses a degree past MAX_DEGREE before it builds one.  On top of the ring
+operations this module provides primality, the package's one integer
+factorizer (_factor), roots over F_p, and one resultant algorithm,
+fp_resultant (Euclid over F_p).  Every other resultant is its values,
+interpolated in a second variable or lifted by CRT from primes below 2^62:
+int_resultant, the critical-value polynomial C(y) = Res_x(f'(x), y - f(x)) of
+f, and the shift resultants R(h) = Res_y(C(y), C(y + h)).  The obstruction
+sets of critical-value differences (the integer differences and, per prime,
+the residues h where two critical values collide after a shift by h) are the
 zeros of R mod a prime, found by collision_shifts.  m = deg C is read from f
 and capped by MAX_CRITICAL_DEGREE before any resultant, and the cost in the
-size of the prime is bounded by MAX_OBSTRUCTION_WORK.  Offsets whose pairwise
-differences avoid the mod-p obstruction set are exactly the ones where joint
-image counts follow the independence model.
+size of the prime is bounded by MAX_OBSTRUCTION_WORK.  Where f' vanishes mod p
+or p <= deg f' mod p (the wild regime) the critical points in F_p are scanned
+instead, within MAX_WILD_SCAN_WORK.  Offsets whose pairwise differences avoid
+the mod-p obstruction set are exactly the ones where joint image counts follow
+the independence model.
 
 Everything here is pure and exact; nothing touches floating point.
 """
@@ -40,21 +44,13 @@ def _trim(coeffs) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class IntPoly:
-    """Univariate polynomial with arbitrary-precision integer coefficients."""
+    """Univariate polynomial with arbitrary-precision integer coefficients.
+    The constructor takes any iterable of coefficients and trims it."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
-            object.__setattr__(self, "coeffs", _trim(self.coeffs))
-
-    @classmethod
-    def of(cls, *coeffs: int) -> "IntPoly":
-        return cls(_trim(coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "IntPoly":
-        return cls(_trim(coeffs))
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -70,14 +66,8 @@ class IntPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPoly":
-        return IntPoly(_trim(i * c for i, c in enumerate(self.coeffs) if i))
+        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
 
     def shifted(self, r: int) -> "IntPoly":
         """f(x + r), exact Taylor shift."""
@@ -89,7 +79,7 @@ class IntPoly:
                 carry = o
             out.append(carry)
         # Horner in (x + r) leaves coefficients in ascending order already.
-        return IntPoly(_trim(out))
+        return IntPoly(out)
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -101,57 +91,19 @@ class IntPoly:
         c = self.content()
         if self.coeffs[-1] < 0:
             c = -c
-        return IntPoly(tuple(x // c for x in self.coeffs))
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(_trim(out))
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly(_trim(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1) if self.coeffs and other.coeffs else []
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(_trim(out))
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return poly_to_text(self)
+        return IntPoly(x // c for x in self.coeffs)
 
 
 @dataclass(frozen=True)
 class FpPoly:
-    """Polynomial over F_p, coefficients reduced into [0, p)."""
+    """Polynomial over F_p.  The constructor takes any iterable of integer
+    coefficients, reduces them into [0, p) and trims the result."""
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.coeffs and (self.coeffs[-1] % self.p == 0
-                            or any(not 0 <= c < self.p for c in self.coeffs)):
-            object.__setattr__(self, "coeffs", _trim(c % self.p for c in self.coeffs))
-
-    @classmethod
-    def from_int_poly(cls, f: IntPoly, p: int) -> "FpPoly":
-        return cls(p, _trim(c % p for c in f.coeffs))
-
-    @classmethod
-    def of(cls, p: int, *coeffs: int) -> "FpPoly":
-        return cls(p, _trim(c % p for c in coeffs))
+        object.__setattr__(self, "coeffs", _trim(c % self.p for c in self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -175,7 +127,7 @@ class FpPoly:
         return acc
 
     def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, _trim(i * c % self.p for i, c in enumerate(self.coeffs) if i))
+        return FpPoly(self.p, (i * c for i, c in enumerate(self.coeffs) if i))
 
     def shifted(self, r: int) -> "FpPoly":
         """f(x + r) over F_p."""
@@ -188,18 +140,18 @@ class FpPoly:
                 out[i] = (o * r + carry) % p
                 carry = o
             out.append(carry)
-        return FpPoly(p, _trim(out))
+        return FpPoly(p, out)
 
     def monic(self) -> "FpPoly":
         if self.is_zero or self.leading == 1:
             return self
         inv = pow(self.leading, -1, self.p)
-        return FpPoly(self.p, _trim(c * inv % self.p for c in self.coeffs))
+        return FpPoly(self.p, (c * inv for c in self.coeffs))
 
     def __sub__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
-        return FpPoly(self.p, _trim((a - b) % self.p for a, b in
-                                    zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+        return FpPoly(self.p, (a - b for a, b in
+                               zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __mul__(self, other: "FpPoly") -> "FpPoly":
         self._check(other)
@@ -208,8 +160,8 @@ class FpPoly:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return FpPoly(self.p, _trim(out))
+                out[i + j] += a * b
+        return FpPoly(self.p, out)
 
     def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
         self._check(other)
@@ -226,7 +178,7 @@ class FpPoly:
                 quo[k] = c
                 for i, b in enumerate(other.coeffs):
                     rem[k + i] = (rem[k + i] - c * b) % p
-        return FpPoly(p, _trim(quo)), FpPoly(p, _trim(rem))
+        return FpPoly(p, quo), FpPoly(p, rem)
 
     def __mod__(self, other: "FpPoly") -> "FpPoly":
         return divmod(self, other)[1]
@@ -239,6 +191,11 @@ class FpPoly:
 # ---------------------------------------------------------------------------
 # parsing / rendering
 
+# Largest degree parse_poly accepts, checked before the dense coefficient list
+# is built: the wild-regime scan of critical_diffs_mod needs degrees past the
+# primes it is asked about, and an image mask costs one Horner pass a degree.
+MAX_DEGREE = 1 << 16
+
 _TERM = re.compile(
     r"(?P<sign>[+-]?)(?:(?P<coeff>\d+)\*?)?(?P<var>x(?:\^(?P<exp>\d+))?)?",
 )
@@ -246,7 +203,8 @@ _TERM = re.compile(
 
 def parse_poly(text: str) -> IntPoly:
     """Parse the polynomial grammar: integer coefficients, variable x,
-    operators + - * ^, e.g. ``x^4-2x^2``.  Whitespace is ignored."""
+    operators + - * ^, e.g. ``x^4-2x^2``.  Whitespace is ignored.  A degree
+    above MAX_DEGREE raises ResourceCapError."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise InvalidInputError("empty polynomial")
@@ -265,16 +223,20 @@ def parse_poly(text: str) -> IntPoly:
         c = int(coeff) if coeff is not None else 1
         if sign == "-":
             c = -c
+        if exp is not None and len(exp.lstrip("0")) > len(str(MAX_DEGREE)):
+            # refused before int() meets a string of thousands of digits
+            raise ResourceCapError(f"a degree of {len(exp.lstrip('0'))} digits exceeds "
+                                   f"the cap {MAX_DEGREE}")
         e = 0
         if var is not None:
             e = int(exp) if exp is not None else 1
         coeffs[e] = coeffs.get(e, 0) + c
         pos = m.end()
         first = False
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return IntPoly(_trim(out))
+    degree = max(coeffs)
+    if degree > MAX_DEGREE:
+        raise ResourceCapError(f"degree {degree} exceeds the cap {MAX_DEGREE}")
+    return IntPoly(coeffs.get(e, 0) for e in range(degree + 1))
 
 
 def poly_to_text(f, var: str = "x") -> str:
@@ -308,7 +270,7 @@ def fp_gcd(a: FpPoly, b: FpPoly) -> FpPoly:
 
 def _fp_powmod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
     """base^e mod `mod` by square-and-multiply."""
-    out = FpPoly.of(mod.p, 1) % mod
+    out = FpPoly(mod.p, (1,)) % mod
     base = base % mod
     while e:
         if e & 1:
@@ -329,11 +291,11 @@ def fp_roots(g: FpPoly) -> list[int]:
     some a < p separates them, so a only affects the running time).
     """
     p = g.p
-    h = FpPoly.of(p, 0, 1)
+    h = FpPoly(p, (0, 1))
     g = fp_gcd(g, _fp_powmod(h, p, g) - h)
     if p == 2:
         return [r for r in (0, 1) if g.evaluate(r) == 0]
-    one = FpPoly.of(p, 1)
+    one = FpPoly(p, (1,))
     roots = []
     stack = [g]
     while stack:
@@ -345,7 +307,7 @@ def fp_roots(g: FpPoly) -> list[int]:
             continue
         a = 0
         while True:
-            d = fp_gcd(g, _fp_powmod(FpPoly.of(p, a, 1), (p - 1) // 2, g) - one)
+            d = fp_gcd(g, _fp_powmod(FpPoly(p, (a, 1)), (p - 1) // 2, g) - one)
             if 0 < d.degree < g.degree:
                 break
             a += 1
@@ -511,7 +473,7 @@ def int_resultant(a: IntPoly, b: IntPoly) -> int:
     degrees, lifted by CRT."""
     if a.is_zero or b.is_zero:
         return 0
-    return _lift(lambda q: [fp_resultant(FpPoly.from_int_poly(a, q), FpPoly.from_int_poly(b, q))],
+    return _lift(lambda q: [fp_resultant(FpPoly(q, a.coeffs), FpPoly(q, b.coeffs))],
                  _resultant_bound(a.coeffs, b.coeffs), a.leading * b.leading)[0]
 
 
@@ -558,7 +520,7 @@ def _interp_fp(p: int, points: list[tuple[int, int]]) -> FpPoly:
         w = yi * pow(denom, -1, p) % p
         for k, c in enumerate(basis):
             out[k] += w * c
-    return FpPoly(p, _trim(v % p for v in out))
+    return FpPoly(p, out)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +528,11 @@ def _interp_fp(p: int, points: list[tuple[int, int]]) -> FpPoly:
 
 @dataclass(frozen=True)
 class ObstructionSet:
-    """Differences of critical values: integers (kind "infinity") or residues
-    modulo a prime (kind "mod").  Offsets h with h in the set are the ones
-    where shifted critical-value sets overlap.  `poly` is the C the set was
-    read from (None in the wild regime), left out of comparisons."""
+    """Differences of critical values: integers (modulus None) or residues
+    modulo a prime.  Offsets h with h in the set are the ones where shifted
+    critical-value sets overlap.  `poly` is the C the set was read from (None
+    in the wild regime), left out of comparisons."""
 
-    kind: str
     modulus: int | None
     elements: tuple[int, ...]
     approximate: bool = False
@@ -581,25 +542,17 @@ class ObstructionSet:
         object.__setattr__(self, "_members", frozenset(self.elements))
 
     def __contains__(self, h: int) -> bool:
-        if self.kind == "mod":
+        if self.modulus is not None:
             h %= self.modulus
         return h in self._members
 
 
-def _critical_resultant(f: IntPoly, p: int) -> FpPoly:
-    """Res_x(f'(x), y - f(x)) mod p, of degree deg f' in y, interpolated
-    from its values fp_resultant(f', y - f) at y = 0, ..., deg f'.  Raises
-    WildModulusError when f is constant or f' vanishes mod p, or when
-    p <= deg f' leaves too few nodes."""
-    fbar = FpPoly.from_int_poly(f, p)
-    if fbar.degree < 1:
-        raise WildModulusError(f"f is constant mod {p}")
-    dbar = fbar.derivative()
-    if dbar.is_zero:
-        raise WildModulusError(f"f' vanishes identically mod {p}")
-    if p <= dbar.degree:
-        raise WildModulusError(f"p={p} leaves too few interpolation nodes for the resultant")
-    return _interp_fp(p, [(y, fp_resultant(dbar, FpPoly.of(p, y) - fbar))
+def _critical_resultant(fbar: FpPoly, dbar: FpPoly) -> FpPoly:
+    """Res_x(f'(x), y - f(x)) mod p from fbar = f mod p and dbar = fbar', of
+    degree deg dbar in y, interpolated from its values fp_resultant(dbar,
+    y - fbar) at y = 0, ..., deg dbar.  Needs 0 <= deg dbar < p."""
+    p = fbar.p
+    return _interp_fp(p, [(y, fp_resultant(dbar, FpPoly(p, (y,)) - fbar))
                           for y in range(dbar.degree + 1)])
 
 
@@ -608,17 +561,22 @@ def critical_value_poly(f: IntPoly, p: int | None = None):
     multiplicity) are the critical values of f: over Z when p is None
     (primitive, positive leading coefficient), else over F_p (monic).
 
-    Raises DegenerateInputError for deg f < 2 and WildModulusError when f or
-    f' collapses mod p.
+    Raises DegenerateInputError for deg f < 2 and WildModulusError when f'
+    vanishes mod p or p <= deg f' mod p leaves too few interpolation nodes.
     """
     if f.degree < 2:
         raise DegenerateInputError("no critical structure: deg f < 2")
     if p is not None:
-        return _critical_resultant(f, p).monic()
+        fbar = FpPoly(p, f.coeffs)
+        dbar = fbar.derivative()
+        if not 0 <= dbar.degree < p:
+            raise WildModulusError(f"f' mod {p} vanishes or has degree >= {p}")
+        return _critical_resultant(fbar, dbar).monic()
     fp = f.derivative()
     bound = _resultant_bound(fp.coeffs, [abs(f.coeffs[0]) + 1, *map(abs, f.coeffs[1:])])
-    return IntPoly.from_coeffs(_lift(lambda q: _critical_resultant(f, q).coeffs,
-                                     bound, fp.leading * f.leading)).primitive()
+    return IntPoly(_lift(
+        lambda q: _critical_resultant(FpPoly(q, f.coeffs), FpPoly(q, fp.coeffs)).coeffs,
+        bound, fp.leading * f.leading)).primitive()
 
 
 def difference_resultant(c: FpPoly) -> FpPoly:
@@ -652,19 +610,22 @@ MAX_CRITICAL_DEGREE = 20
 # at primes of 61, 89 and 127 bits, estimated 2.6e9, 3.8e9 and 5.7e9; at
 # m = 10, 0.5, 1.1, 9.0 and 85 s at 61, 127, 521 and 1279 bits (1.6e8 to 2.7e10).
 MAX_OBSTRUCTION_WORK = 1 << 32
+# Largest work estimate of the wild-regime scan of critical_diffs_mod:
+# p * (deg f + 1) evaluation steps plus p^2 for the differences of at most p
+# critical values.  On a 2-core machine critical_diffs_mod(x^(p+1)+x, p), one
+# critical value, took 0.28, 1.06 and 2.4 s at p = 2003, 4001 and 5791
+# (estimated 8.0e6, 3.2e7 and 6.7e7); x^(2p)+x^p, every point critical and
+# p values, took 0.58 and 2.7 s at p = 2003 and 4001 (1.2e7 and 4.8e7).
+MAX_WILD_SCAN_WORK = 1 << 26
 
 
-def _obstruction_poly(f: IntPoly, p: int | None = None):
-    """critical_value_poly(f, p), refused with ResourceCapError when its
-    degree m exceeds MAX_CRITICAL_DEGREE.  m is read from f before any
-    resultant: deg f - 1 over Z, deg f' mod p (m >= p is the wild regime,
-    where critical_value_poly raises WildModulusError instead)."""
-    m = f.degree - 1 if p is None else FpPoly.from_int_poly(f, p).derivative().degree
-    if m > MAX_CRITICAL_DEGREE and (p is None or m < p):
+def _check_critical_degree(m: int) -> None:
+    """Raise ResourceCapError when m = deg C, read from f before any
+    resultant, exceeds MAX_CRITICAL_DEGREE."""
+    if m > MAX_CRITICAL_DEGREE:
         raise ResourceCapError(f"the obstruction set of a degree-{m} critical-value "
                                f"polynomial needs a degree-{m**2} difference resultant; "
                                f"the cap is deg C <= {MAX_CRITICAL_DEGREE}")
-    return critical_value_poly(f, p)
 
 
 def _check_obstruction_work(m: int, bits: int) -> None:
@@ -682,24 +643,25 @@ def critical_diffs_infinity(f: IntPoly) -> ObstructionSet:
     i.e. gcd(C(y), C(y + r)) over Q is nonconstant.
 
     These are the integer roots of R(h) = Res_y(C(y), C(y + h)), of degree
-    m^2 (m = deg C).  Each root is a difference of two roots of C, so
-    |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|)) by Cauchy's bound.  Mod a
-    prime P > max(2B, m^2) not dividing lc(C), R reduces to
-    difference_resultant(C mod P); its roots, lifted to (-P/2, P/2), contain
-    every integer root, and the ones with Res(C(y), C(y + r)) = 0 exactly,
-    which is R(r) = 0, are kept.  P is a Proth prime, proved prime at every
-    size (_proth_prime).  P is found just above its lower bound, so that
-    bound's bit length (plus one) is the size the work estimate checks
-    before P is sought.
+    m^2 (m = deg C = deg f - 1, capped before C is built).  Each root is a
+    difference of two roots of C, so |r| <= B = 2 * (1 + ceil(max|c_i| / |lc C|))
+    by Cauchy's bound.  Mod a prime P > max(2B, m^2) not dividing lc(C), R
+    reduces to difference_resultant(C mod P); its roots, lifted to
+    (-P/2, P/2), contain every integer root, and the ones with
+    Res(C(y), C(y + r)) = 0 exactly, which is R(r) = 0, are kept.  P is a
+    Proth prime, proved prime at every size (_proth_prime).  P is found just
+    above its lower bound, so that bound's bit length (plus one) is the size
+    the work estimate checks before P is sought.
     """
-    c = _obstruction_poly(f)
+    _check_critical_degree(f.degree - 1)
+    c = critical_value_poly(f)
     ratio = -(-max(abs(x) for x in c.coeffs[:-1]) // c.leading)  # lc(C) > 0
     lo = max(4 * (1 + ratio), c.degree**2)
     _check_obstruction_work(c.degree, lo.bit_length() + 1)
     prime = _proth_prime(lo, c.leading)
     lifted = (h if 2 * h < prime else h - prime
-              for h in collision_shifts(FpPoly.from_int_poly(c, prime)))
-    return ObstructionSet("infinity", None, tuple(
+              for h in collision_shifts(FpPoly(prime, c.coeffs)))
+    return ObstructionSet(None, tuple(
         sorted(h for h in lifted if int_resultant(c, c.shifted(h)) == 0)), poly=c)
 
 
@@ -707,20 +669,29 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     """Residues h in [0, p) where the mod-p critical-value set meets its own
     translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0: collision_shifts(C_p).
 
-    In the wild regime (f' degenerate mod p) falls back to scanning critical
-    points in F_p itself; the result is then flagged approximate because
-    critical values living in proper extensions are invisible to the scan.
+    f mod p and its derivative decide the regime once.  When f' mod p is
+    nonzero of degree m < p, C_p has degree m and is interpolated; m is
+    capped, and the work estimated, before any resultant.  Otherwise (the
+    wild regime: f' vanishes mod p, or p <= m) the critical points in F_p are
+    scanned, after the scan's work is checked against MAX_WILD_SCAN_WORK; the
+    result is then flagged approximate because critical values living in
+    proper extensions are invisible to the scan.
     """
-    try:
-        c = _obstruction_poly(f, p)
-    except WildModulusError:
-        fbar = FpPoly.from_int_poly(f, p)
-        if fbar.degree < 1:  # constant mod p: one value, whose only difference is 0
-            return ObstructionSet("mod", p, (0,), approximate=True)
-        dbar = fbar.derivative()
-        values = {fbar.evaluate(x) for x in range(p)
-                  if dbar.is_zero or dbar.evaluate(x) == 0}
-        diffs = {(a - b) % p for a in values for b in values}
-        return ObstructionSet("mod", p, tuple(sorted(diffs)), approximate=True)
-    _check_obstruction_work(c.degree, p.bit_length())
-    return ObstructionSet("mod", p, tuple(collision_shifts(c)), poly=c)
+    if f.degree < 2:
+        raise DegenerateInputError("no critical structure: deg f < 2")
+    fbar = FpPoly(p, f.coeffs)
+    dbar = fbar.derivative()
+    if 0 <= dbar.degree < p:
+        _check_critical_degree(dbar.degree)
+        _check_obstruction_work(dbar.degree, p.bit_length())
+        c = _critical_resultant(fbar, dbar).monic()
+        return ObstructionSet(p, tuple(collision_shifts(c)), poly=c)
+    if fbar.degree < 1:  # constant mod p: one value, whose only difference is 0
+        return ObstructionSet(p, (0,), approximate=True)
+    work = p * (fbar.degree + 1) + p * p
+    if work > MAX_WILD_SCAN_WORK:
+        raise ResourceCapError(f"the critical-point scan of f mod {p} needs about {work} "
+                               f"evaluation steps; the cap is {MAX_WILD_SCAN_WORK}")
+    values = {fbar.evaluate(x) for x in range(p) if dbar.is_zero or dbar.evaluate(x) == 0}
+    diffs = {(a - b) % p for a in values for b in values}
+    return ObstructionSet(p, tuple(sorted(diffs)), approximate=True)

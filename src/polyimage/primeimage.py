@@ -43,6 +43,11 @@ MAX_PRIME = 1 << 31
 # Largest prime compute_image builds a mask for: the build marks the image in
 # a p-byte scratch, 256 MiB at the cap, beside the p/8-byte packed mask.
 MAX_MASK_PRIME = 1 << 28
+# Largest Horner work compute_image accepts: subgroup points times the degree
+# of g, the passes of the walk.  A pass costs about 2.4 ns a point on a 2-core
+# machine (x^2000+x at 1000003, 2.0e9, took 4.8 s); the cap admits every
+# polynomial of degree <= 6 at every prime below MAX_MASK_PRIME.
+MAX_MASK_WORK = 6 * MAX_MASK_PRIME
 _BLOCK = 1 << 14  # subgroup points per vectorized Horner pass: 128 KiB of int64
 # Largest transform pair_counts takes: n = 2^24 serves every p < 2^23.  numpy's
 # rfft holds about 24 * n bytes (padded float64 input, its working copy and
@@ -154,8 +159,9 @@ def compute_image(f: IntPoly, p: int) -> ImageMask:
     chunks of _BLOCK, whose int64 buffers (the walk, Horner's accumulator and
     the quotient of the reduction) stay in L2, and the values are marked in a
     p-byte scratch.  Raises InvalidInputError unless 2 <= p < 2^31, then
-    ResourceCapError for p > MAX_MASK_PRIME unless f is constant mod p (no
-    scratch is needed for that)."""
+    ResourceCapError, before any buffer is allocated, for p > MAX_MASK_PRIME
+    or Horner work past MAX_MASK_WORK, unless f is constant mod p (no scratch
+    is needed for that)."""
     if not 2 <= p < MAX_PRIME:
         raise InvalidInputError(f"prime {p} outside supported range [2, 2^31)")
     cs = [c % p for c in f.coeffs]
@@ -169,7 +175,12 @@ def compute_image(f: IntPoly, p: int) -> ImageMask:
         raise ResourceCapError(
             f"image mask at p={p} walks {n} points with a {p}-byte scratch; "
             f"the cap is p <= {MAX_MASK_PRIME}")
-    hit = _mark_image(cs[:exponents[-1] + 1:m], p, d, n)  # g ascending, degree >= 1
+    g = cs[:exponents[-1] + 1:m]  # ascending, degree >= 1
+    if n * (len(g) - 1) > MAX_MASK_WORK:
+        raise ResourceCapError(
+            f"image mask at p={p} runs {len(g) - 1} Horner passes over {n} points; "
+            f"the cap is {MAX_MASK_WORK} point-passes")
+    hit = _mark_image(g, p, d, n)
     hit[cs[0]] = True
     bits = int.from_bytes(np.packbits(hit, bitorder="little"), "little")
     return ImageMask(p, bits, bits.bit_count())

@@ -54,6 +54,8 @@ MAX_TABLE_WORDS = 1 << 31
 MAX_TABLE_ROTATION_BYTES = 1 << 28
 # gaps below this bound are counted in one table; fewer than q / bound lie above
 _SMALL_GAPS = 1 << 16
+# normalized gaps at or above this bound are the histogram's overflow
+HISTOGRAM_UPPER = 6.0
 
 
 @dataclass
@@ -170,12 +172,12 @@ class Histogram:
     overflow: int
 
 
-def histogram_normalized(series: SpacingSeries, bins: int = 50, upper: float = 6.0) -> Histogram:
-    """Histogram of normalized gaps on [0, upper) plus an overflow count."""
-    if bins < 1 or upper <= 0:
-        raise InvalidInputError("need bins >= 1 and upper > 0")
+def histogram_normalized(series: SpacingSeries, bins: int = 50) -> Histogram:
+    """Histogram of normalized gaps on [0, HISTOGRAM_UPPER) plus an overflow count."""
+    if bins < 1:
+        raise InvalidInputError("need bins >= 1")
     ts = series.gap_values.astype(np.float64) * (series.element_count / series.modulus.q)
-    width = upper / bins
+    width = HISTOGRAM_UPPER / bins
     idx = np.minimum((ts / width).astype(np.int64), bins)
     counts = np.zeros(bins + 1, np.int64)
     np.add.at(counts, idx, series.gap_counts)
@@ -246,17 +248,18 @@ def correlation(
     f: IntPoly,
     modulus: SquareFreeModulus,
     window: CorrelationWindow,
-    reduce_permutations: bool = True,
 ) -> CorrelationResult:
     """The k-level correlation of the image of f modulo q over the window:
     the sum of joint counts over integer points of the mean-spacing-dilated
-    box, normalized by the image size.  Exact rational output."""
+    box, normalized by the image size.  Exact rational output.  A
+    permutation prime (omega_p = p) has the same count at every offset, so
+    only the primes of the reduced modulus q1 are multiplied."""
     stats = composite_stats(f, modulus)
     s_q = stats.s_q
     if s_q == 1:  # every prime a permutation prime
         raise DegenerateInputError("degenerate: mean spacing 1")
     # a permutation prime has omega_p = p and s_p = 1
-    used = stats.q1_reduced if reduce_permutations else modulus
+    used = stats.q1_reduced
     omega_q = stats.omega_q_size * used.q // modulus.q
     k = window.dimension + 1
     ranges = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in window.intervals]
@@ -267,12 +270,14 @@ def correlation(
     _check_table_work(used.primes, shape)
     # The count at h is the product over p of N_p(h mod p), and along an axis
     # the residues repeat with period p: each prime's table covers the first
-    # min(len, p) points of every axis and is wrapped over the whole box.
+    # min(len, p) points of every axis and is tiled over the whole box.
     # No point's product exceeds omega_q, so int64 sums exactly below 2^63.
     prod = np.ones(shape, np.int64 if omega_q * total < 2**63 else object)
     for p in used.primes:
         table = joint_count_table(image_mask(f, p), [r[:p] for r in ranges])
-        prod *= np.pad(table, [(0, n - t) for n, t in zip(shape, table.shape)], mode="wrap")
+        for axis, n in enumerate(shape):  # entry i of an axis is residue i mod p
+            table = table.take(np.tile(np.arange(p), -(-n // p))[:n], axis=axis)
+        prod *= table
     grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))
     drop = np.zeros(shape, bool)
     for i, g in enumerate(grids):

@@ -27,7 +27,7 @@ from .composite import (
     parse_modulus,
 )
 from .errors import DegenerateInputError
-from .oracle import brute_joint_count
+from .oracle import brute_image, brute_joint_count
 from .parallel import pmap
 from .polyarith import IntPoly, critical_diffs_mod, is_probable_prime, parse_poly
 from .primeimage import (anomaly_scan, image_mask, joint_count, joint_count_table,
@@ -320,17 +320,22 @@ def check_eps_mass(workers: int = 1) -> CheckResult:
 
 
 def check_permutation_reduction() -> CheckResult:
+    """R_2 of x^3 mod 105 over (0, 1], which multiplies the counts of q1 = 7
+    alone, against the unreduced sum of brute-force joint counts mod 105 over
+    the same lattice points."""
     f = parse_poly("x^3")
     m = parse_modulus(105)
     window = CorrelationWindow.box((0, 1))
-    reduced = correlation(f, m, window, reduce_permutations=True)
-    full = correlation(f, m, window, reduce_permutations=False)
+    reduced = correlation(f, m, window)
+    (a, b), = window.intervals
+    hs = [h for h in range(math.ceil(a * reduced.s_q), math.floor(b * reduced.s_q) + 1) if h]
+    full = Fraction(sum(brute_joint_count(f, m.q, [h]) for h in hs), len(brute_image(f, m.q)))
     q1 = reduced.modulus_used
-    ok = q1.primes == (7,) and reduced.value == full.value
+    ok = q1.primes == (7,) and reduced.value == full
     return CheckResult(
         "permutation-reduction", ok,
         {"q1": list(q1.primes), "R2_reduced": str(reduced.value),
-         "R2_full": str(full.value), "equal": reduced.value == full.value},
+         "R2_full": str(full), "equal": reduced.value == full},
     )
 
 

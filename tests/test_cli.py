@@ -266,13 +266,21 @@ def test_critical_reads_each_critical_value_poly_once(capsys, monkeypatch):
         rings.append(p)
         return critical_value_poly(f, p)
 
+    def interpolated(fbar, dbar):
+        if fbar.p == 7:  # C over Z interpolates at primes near 2^62
+            rings.append(7)
+        return critical_resultant(fbar, dbar)
+
     critical_value_poly = polyarith.critical_value_poly
+    critical_resultant = polyarith._critical_resultant
     monkeypatch.setattr(polyarith, "critical_value_poly", counted)
-    # C = y(y + 1)^2 mod 7; 7x^2 + 5 is constant mod 7, the wild regime
+    monkeypatch.setattr(polyarith, "_critical_resultant", interpolated)
+    # C = y(y + 1)^2 mod 7 is interpolated once; 7x^2 + 5 is constant mod 7,
+    # the wild regime, where no C mod 7 is built
     for poly, p, want in (("x^4-2x^2", 7, [0, 1, 2, 1]), ("7x^2+5", 7, None)):
         rings.clear()
         code, out, _ = run(capsys, "critical", "--poly", poly, "--prime", str(p))
-        assert code == 0 and rings == [7, None], poly
+        assert code == 0 and rings == ([7, None] if want else [None]), poly
         assert json.loads(out)["result"]["critical_diffs_mod_p"]["critical_poly_coeffs"] == want
 
 
@@ -354,6 +362,19 @@ def test_critical_constant_mod_large_prime_returns_at_once():
     assert proc.returncode == 0, proc.stderr
     entry = json.loads(proc.stdout)["result"]["critical_diffs_mod_p"]
     assert entry == {"p": p, "elements": [0], "approximate": True, "critical_poly_coeffs": None}
+
+
+def test_unbounded_inputs_exit_3_at_once():
+    # a degree past the parse cap, a wild-regime scan and a mask build past
+    # their work caps: each refused before it allocates or scans
+    for argv, says in ((["image", "--poly", "x^100000000000", "--primes", "7"], "degree"),
+                       (["critical", "--poly", "x^50022+x", "--prime", "50021"], "scan"),
+                       (["image", "--poly", "x^2000+x", "--primes", "1000003"], "Horner")):
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-m", "polyimage.cli", *argv], capture_output=True,
+                              env=_subprocess_env(), text=True, timeout=30)
+        assert proc.returncode == 3 and not proc.stdout and says in proc.stderr, argv
+        assert time.monotonic() - start < 5, argv
 
 
 def test_verify_anomaly_above_pair_count_cap_exits_3():

@@ -119,7 +119,7 @@ def test_monomial_image_size_closed_form():
     # |image of x^m| = 1 + (p - 1)/gcd(m, p - 1); p = 5 mod 12 gives gcds 2, 1, 4, 2
     p = 10000121
     for m in (2, 3, 4, 6):
-        assert compute_image(IntPoly.from_coeffs([0] * m + [1]), p).count == \
+        assert compute_image(IntPoly(tuple([0] * m + [1])), p).count == \
             1 + (p - 1) // math.gcd(m, p - 1), m
 
 
@@ -176,6 +176,24 @@ def test_mask_cap_before_scratch(monkeypatch):
     with pytest.raises(ResourceCapError, match="p=103 walks 51 points with a 103-byte scratch"):
         compute_image(parse_poly("x^2"), 103)
     assert compute_image(parse_poly("103x^2+5"), 103) == primeimage.ImageMask(103, 1 << 5, 1)
+
+
+def test_mask_work_cap_before_scratch(monkeypatch):
+    # the Horner work, (p - 1)/d points times deg g passes, is refused before
+    # any buffer; every degree-6 polynomial passes it below MAX_MASK_PRIME
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(primeimage, "_mark_image", admitted)
+    monkeypatch.setattr(np, "zeros", _no_scratch)
+    top = next(q for q in range(primeimage.MAX_MASK_PRIME - 1, 0, -2) if is_probable_prime(q))
+    with pytest.raises(Admitted):
+        compute_image(parse_poly("2x^6+x^5-x+1"), top)
+    with pytest.raises(ResourceCapError, match="p=1000003 runs 2000 Horner passes over 1000002 "):
+        compute_image(parse_poly("x^2000+x"), 1000003)
 
 
 def test_joint_count_examples():
@@ -315,7 +333,7 @@ def test_anomaly_scan_examples():
     square = parse_poly("x^2")
     assert anomaly_scan(square, 101, critical_diffs_mod(square, 101), threshold=5.0) == []
     # x has no critical values, hence an empty obstruction set
-    assert anomaly_scan(parse_poly("x"), 101, ObstructionSet("mod", 101, ()),
+    assert anomaly_scan(parse_poly("x"), 101, ObstructionSet(101, ()),
                         threshold=5.0) == []
     # at p=13 the +/-1 offsets of the quartic are flagged once the threshold
     # drops below their deviation, and they land in the obstruction set
@@ -429,7 +447,7 @@ def test_pair_counts_cap_before_mask(monkeypatch):
     monkeypatch.setattr(primeimage, "image_mask", _no_mask)
     f = parse_poly("x^2")
     with pytest.raises(ResourceCapError, match=f"p={p}.*bytes"):
-        anomaly_scan(f, p, ObstructionSet("mod", p, ()))
+        anomaly_scan(f, p, ObstructionSet(p, ()))
     with pytest.raises(ResourceCapError, match=f"p={p}"):
         pair_counts(primeimage.ImageMask(p, 1, 1))
     assert primeimage._pair_transform_length(8388593) == primeimage.MAX_PAIR_TRANSFORM

@@ -74,6 +74,22 @@ def test_one_resultant_route():
                                              ("polyarith.py", "_critical_resultant")}
 
 
+def test_polynomials_normalized_by_their_constructors():
+    # IntPoly and FpPoly trim (and reduce mod p) their coefficients; no
+    # other code does it for them
+    assert package_callers("_trim") == {("polyarith.py", "IntPoly"), ("polyarith.py", "FpPoly")}
+
+
+def test_wild_regime_decided_without_exceptions():
+    # critical_diffs_mod branches on f mod p and its derivative; nothing in
+    # the package catches WildModulusError to find the wild regime
+    handlers = [(path.name, node.lineno) for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "WildModulusError" in ast.unparse(node.type)]
+    assert handlers == []
+
+
 def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
     """Module-level functions and classes that no code outside their own
     definition reads by name or attribute; __init__.py re-exports do not count."""
