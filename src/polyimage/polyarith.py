@@ -556,22 +556,33 @@ def _critical_resultant(fbar: FpPoly, dbar: FpPoly) -> FpPoly:
                           for y in range(dbar.degree + 1)])
 
 
+def _reduced(f: IntPoly, p: int) -> tuple[FpPoly, FpPoly, bool]:
+    """f mod p, its derivative, and whether p is tame for f: f' mod p is
+    nonzero of degree m < p, so C mod p has degree m and m + 1 interpolation
+    nodes.  Otherwise p is in the wild regime.  Raises DegenerateInputError
+    for deg f < 2."""
+    if f.degree < 2:
+        raise DegenerateInputError("no critical structure: deg f < 2")
+    fbar = FpPoly(p, f.coeffs)
+    dbar = fbar.derivative()
+    return fbar, dbar, 0 <= dbar.degree < p
+
+
 def critical_value_poly(f: IntPoly, p: int | None = None):
     """The polynomial C(y) = Res_x(f'(x), y - f(x)) whose roots (with
     multiplicity) are the critical values of f: over Z when p is None
     (primitive, positive leading coefficient), else over F_p (monic).
 
-    Raises DegenerateInputError for deg f < 2 and WildModulusError when f'
-    vanishes mod p or p <= deg f' mod p leaves too few interpolation nodes.
+    Raises DegenerateInputError for deg f < 2 and WildModulusError when p
+    is in the wild regime (_reduced).
     """
-    if f.degree < 2:
-        raise DegenerateInputError("no critical structure: deg f < 2")
     if p is not None:
-        fbar = FpPoly(p, f.coeffs)
-        dbar = fbar.derivative()
-        if not 0 <= dbar.degree < p:
+        fbar, dbar, tame = _reduced(f, p)
+        if not tame:
             raise WildModulusError(f"f' mod {p} vanishes or has degree >= {p}")
         return _critical_resultant(fbar, dbar).monic()
+    if f.degree < 2:
+        raise DegenerateInputError("no critical structure: deg f < 2")
     fp = f.derivative()
     bound = _resultant_bound(fp.coeffs, [abs(f.coeffs[0]) + 1, *map(abs, f.coeffs[1:])])
     return IntPoly(_lift(
@@ -669,19 +680,17 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     """Residues h in [0, p) where the mod-p critical-value set meets its own
     translate by h, i.e. deg gcd(C_p(y), C_p(y+h)) > 0: collision_shifts(C_p).
 
-    f mod p and its derivative decide the regime once.  When f' mod p is
-    nonzero of degree m < p, C_p has degree m and is interpolated; m is
-    capped, and the work estimated, before any resultant.  Otherwise (the
+    f mod p and its derivative decide the regime once, in _reduced.  When
+    f' mod p is nonzero of degree m < p, C_p has degree m and is
+    interpolated; m is capped, and the work estimated, before any resultant.
+    Otherwise (the
     wild regime: f' vanishes mod p, or p <= m) the critical points in F_p are
     scanned, after the scan's work is checked against MAX_WILD_SCAN_WORK; the
     result is then flagged approximate because critical values living in
     proper extensions are invisible to the scan.
     """
-    if f.degree < 2:
-        raise DegenerateInputError("no critical structure: deg f < 2")
-    fbar = FpPoly(p, f.coeffs)
-    dbar = fbar.derivative()
-    if 0 <= dbar.degree < p:
+    fbar, dbar, tame = _reduced(f, p)
+    if tame:
         _check_critical_degree(dbar.degree)
         _check_obstruction_work(dbar.degree, p.bit_length())
         c = _critical_resultant(fbar, dbar).monic()

@@ -270,14 +270,12 @@ def correlation(
     _check_table_work(used.primes, shape)
     # The count at h is the product over p of N_p(h mod p), and along an axis
     # the residues repeat with period p: each prime's table covers the first
-    # min(len, p) points of every axis and is tiled over the whole box.
+    # min(len, p) points of every axis and is wrapped over the whole box.
     # No point's product exceeds omega_q, so int64 sums exactly below 2^63.
     prod = np.ones(shape, np.int64 if omega_q * total < 2**63 else object)
     for p in used.primes:
         table = joint_count_table(image_mask(f, p), [r[:p] for r in ranges])
-        for axis, n in enumerate(shape):  # entry i of an axis is residue i mod p
-            table = table.take(np.tile(np.arange(p), -(-n // p))[:n], axis=axis)
-        prod *= table
+        prod *= np.pad(table, [(0, n - t) for n, t in zip(shape, table.shape)], mode="wrap")
     grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))
     drop = np.zeros(shape, bool)
     for i, g in enumerate(grids):

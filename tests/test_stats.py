@@ -347,6 +347,25 @@ def test_correlation_python_int_path():
         assert r.value * omega == sum(joint_count_composite(f, m, hs) for hs in admissible)
 
 
+def test_correlation_memory_follows_the_box_not_the_prime():
+    # x^2 mod 1000003 (s_q just below 2) over boxes of 4 and 4 x 4 points:
+    # past the cached mask, a correlation holds box-sized arrays and a few
+    # rows of p bits (1.4 MB at the 4 x 4 box, below 16 such rows); an index
+    # array of p int64 entries per axis would add 8 MB
+    f, m = parse_poly("x^2"), parse_modulus(1000003)
+    image_mask(f, m.q)
+    for window, points in ((CorrelationWindow.box((0, 2)), 3),
+                           (CorrelationWindow.box((0, 2), (0, 2)), 6)):
+        tracemalloc.start()
+        try:
+            r = correlation(f, m, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.lattice_points == points
+        assert peak < 2 * m.q, peak
+
+
 @pytest.mark.parametrize("cap", ["MAX_TABLE_WORDS", "MAX_TABLE_ROTATION_BYTES"])
 def test_correlation_table_work_refused_before_any_rotation(monkeypatch, cap):
     # x^2 mod 3*5*7*1009 (s_q = 105945/12120), R_3 over (0,1]^2: 9 residues
