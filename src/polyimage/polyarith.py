@@ -683,11 +683,10 @@ def critical_diffs_mod(f: IntPoly, p: int) -> ObstructionSet:
     f mod p and its derivative decide the regime once, in _reduced.  When
     f' mod p is nonzero of degree m < p, C_p has degree m and is
     interpolated; m is capped, and the work estimated, before any resultant.
-    Otherwise (the
-    wild regime: f' vanishes mod p, or p <= m) the critical points in F_p are
-    scanned, after the scan's work is checked against MAX_WILD_SCAN_WORK; the
-    result is then flagged approximate because critical values living in
-    proper extensions are invisible to the scan.
+    Otherwise (the wild regime: f' vanishes mod p, or p <= m) the critical
+    points in F_p are scanned, after the scan's work is checked against
+    MAX_WILD_SCAN_WORK; the result is then flagged approximate because
+    critical values living in proper extensions are invisible to the scan.
     """
     fbar, dbar, tame = _reduced(f, p)
     if tame:
