@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Each subcommand declares only the flags it reads (`--modulus` and
-`--primes` as a mutually exclusive pair), plus `--workers` (at least 1,
-default 1), which every command accepts and only `image` and `verify` read.  A command reads the parsed argparse namespace and returns
-its exit code, its `result` payload and a human summary; `main` alone
-writes them out.
+Each subcommand declares only the flags it reads, plus `--workers` (at least
+1, default 1), which every command accepts and only `image` and `verify`
+read.  The parser alone knows which flags a command requires, how an integer
+list is written and which suites exist: anything argparse can reject exits 2
+before any command runs.  A command checks only what its values mean and
+returns its exit code, its `result` payload and a human summary; `main`
+alone writes them out.
 
 Machine-first output: the JSON report goes to stdout (stable key order, so a
 fixed command line produces byte-identical bytes; `config` echoes the parsed
@@ -29,22 +31,17 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .composite import (
-    DEFAULT_CAP_BITS,
-    SquareFreeModulus,
-    composite_stats,
-    parse_modulus,
-)
+from .composite import DEFAULT_CAP_BITS, composite_stats, parse_modulus
 from .errors import InvalidInputError, ResourceCapError
 from .polyarith import (
-    IntPoly,
     critical_diffs_infinity,
     critical_diffs_mod,
     is_probable_prime,
     parse_poly,
     poly_to_text,
 )
-from .primeimage import expected_joint_count, image_mask, joint_count, joint_count_error
+from .primeimage import (check_table_axes, expected_joint_count, image_mask, joint_count,
+                         joint_count_error)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -66,27 +63,6 @@ def _frac(fr: Fraction) -> dict:
     return {"ratio": f"{fr.numerator}/{fr.denominator}", "float": _f12(float(fr))}
 
 
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise InvalidInputError(f"{flag} needs comma-separated integers, got {text!r}") from exc
-
-
-def _require_poly(args: argparse.Namespace) -> IntPoly:
-    if not args.poly:
-        raise InvalidInputError("--poly is required")
-    return parse_poly(args.poly)
-
-
-def _require_modulus(args: argparse.Namespace) -> SquareFreeModulus:
-    if args.primes:
-        return parse_modulus(args.primes)
-    if args.modulus is None:
-        raise InvalidInputError("--modulus or --primes is required")
-    return parse_modulus(args.modulus)
-
-
 def _parse_window(text: str) -> CorrelationWindow:
     intervals = []
     for part in text.split(","):
@@ -101,8 +77,8 @@ def _parse_window(text: str) -> CorrelationWindow:
 # commands --------------------------------------------------------------------
 
 def cmd_image(args: argparse.Namespace) -> tuple[int, dict, str]:
-    f = _require_poly(args)
-    m = _require_modulus(args)
+    f = parse_poly(args.poly)
+    m = parse_modulus(args.primes or args.modulus)
     stats = composite_stats(f, m, workers=args.workers)
     result = {
         "q": m.q,
@@ -126,10 +102,8 @@ def cmd_image(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
-    f = _require_poly(args)
-    m = _require_modulus(args)
-    if not args.window:
-        raise InvalidInputError("--window is required")
+    f = parse_poly(args.poly)
+    m = parse_modulus(args.primes or args.modulus)
     window = _parse_window(args.window)
     if args.k is not None and args.k != window.dimension + 1:
         raise InvalidInputError(
@@ -151,8 +125,8 @@ def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
-    f = _require_poly(args)
-    m = _require_modulus(args)
+    f = parse_poly(args.poly)
+    m = parse_modulus(args.primes or args.modulus)
     for flag in ("format", "bins"):
         if getattr(args, flag) is not None and not args.out:
             raise InvalidInputError(f"--{flag} shapes the file --out writes; give --out too")
@@ -227,7 +201,7 @@ def _require_prime(p: int) -> int:
 
 def cmd_critical(args: argparse.Namespace) -> tuple[int, dict, str]:
     # the mod-p set first: a refused --prime costs no integer set
-    f = _require_poly(args)
+    f = parse_poly(args.poly)
     obs = None if args.prime is None else critical_diffs_mod(f, _require_prime(args.prime))
     inf = critical_diffs_infinity(f)
     result = {
@@ -244,10 +218,9 @@ def cmd_critical(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
-    f = _require_poly(args)
-    m = _require_modulus(args)
-    if not args.offsets:
-        raise InvalidInputError("--offsets is required")
+    f = parse_poly(args.poly)
+    m = parse_modulus(args.primes or args.modulus)
+    check_table_axes(len(args.offsets))
     k = len(args.offsets) + 1
     total = 1
     per_prime = []
@@ -267,11 +240,9 @@ def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
-    if args.suite not in SUITES:
-        raise InvalidInputError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     if args.suite == "anomaly" and args.poly is not None and args.prime is not None:
         threshold = ANOMALY_THRESHOLD if args.threshold is None else args.threshold
-        checks = [anomaly_report(_require_poly(args), _require_prime(args.prime), threshold)]
+        checks = [anomaly_report(parse_poly(args.poly), _require_prime(args.prime), threshold)]
     elif args.poly is not None or args.prime is not None:
         raise InvalidInputError("--poly and --prime go together and only with the anomaly suite: "
                                 "verify anomaly --poly F --prime p")
@@ -316,6 +287,14 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"needs comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyimage",
@@ -327,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, help, *, modulus=True):
         p = sub.add_parser(name, help=help)
-        p.add_argument("--poly", help="polynomial in x, e.g. x^4-2x^2")
+        # verify reads --poly only for its single-prime anomaly report
+        p.add_argument("--poly", required=name != "verify",
+                       help="polynomial in x, e.g. x^4-2x^2")
         if modulus:
-            either = p.add_mutually_exclusive_group()
+            either = p.add_mutually_exclusive_group(required=True)
             either.add_argument("--modulus", type=int, help="square-free modulus")
-            either.add_argument("--primes", help="comma-separated prime list")
+            either.add_argument("--primes", type=_int_list, help="comma-separated prime list")
         p.add_argument("--workers", type=_at_least_one, default=1)
         return p
 
@@ -339,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("correlate", "k-level correlation over a window")
     p.add_argument("--k", type=int)
-    p.add_argument("--window", help="a:b[,a:b...] with rational endpoints")
+    p.add_argument("--window", required=True, help="a:b[,a:b...] with rational endpoints")
 
     p = command("spacings", "gap statistics and KS test")
     p.add_argument("--bins", type=_at_least_one,
@@ -352,10 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int)
 
     p = command("nk", "joint image count for explicit offsets")
-    p.add_argument("--offsets", help="comma-separated integer offsets")
+    p.add_argument("--offsets", required=True, type=_int_list,
+                   help="comma-separated integer offsets")
 
     p = command("verify", "run a verification suite", modulus=False)
-    p.add_argument("suite", help="|".join(sorted(SUITES)))
+    p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--prime", type=int)
     p.add_argument("--threshold", type=float,
                    help=f"with --poly and --prime; default {ANOMALY_THRESHOLD}")
@@ -377,9 +359,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in ("primes", "offsets"):
-            if getattr(args, name, None) is not None:
-                setattr(args, name, _int_list(getattr(args, name), f"--{name}"))
         code, result, summary = _COMMANDS[args.command](args)
         config = dict(vars(args), version=__version__)
         print(json.dumps({"command": args.command, "config": config, "result": result},

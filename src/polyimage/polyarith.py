@@ -14,11 +14,12 @@ sets of critical-value differences (the integer differences and, per prime,
 the residues h where two critical values collide after a shift by h) are the
 zeros of R mod a prime, found by collision_shifts.  m = deg C is read from f
 and capped by MAX_CRITICAL_DEGREE before any resultant, and the cost in the
-size of the prime is bounded by MAX_OBSTRUCTION_WORK.  Where f' vanishes mod p
-or p <= deg f' mod p (the wild regime) the critical points in F_p are scanned
-instead, within MAX_WILD_SCAN_WORK.  Offsets whose pairwise differences avoid
-the mod-p obstruction set are exactly the ones where joint image counts follow
-the independence model.
+size of the prime, and of the search for it over Z, is bounded by
+MAX_OBSTRUCTION_WORK.  Where f' vanishes mod p or p <= deg f' mod p (the
+wild regime) the critical points in F_p are scanned instead, within
+MAX_WILD_SCAN_WORK.  Offsets whose pairwise differences avoid the mod-p
+obstruction set are exactly the ones where joint image counts follow the
+independence model.
 
 Everything here is pure and exact; nothing touches floating point.
 """
@@ -419,10 +420,24 @@ def _factor(n: int) -> list[int]:
     return sorted(out)
 
 
+# The Proth search costs about (b d)^2 / PROTH_SEARCH_DIVISOR digit operations
+# for a b-bit P of d 30-bit digits: about b/10 candidates pass trial division,
+# each a b-bit modular power.  Its mean over random bounds took 0.53, 2.6, 5.3
+# and 10.1 s at 1000, 1500, 2000 and 2600 bits on a 2-core machine (2.3 to
+# 1.0 ns a unit); one search varies about threefold with the prime gap.
+PROTH_SEARCH_DIVISOR = 5
+
+
 def _proth_prime(lo: int, avoid: int) -> int:
     """A prime P = k * 2^n + 1 > lo not dividing `avoid`, k odd and k < 2^n:
     is_probable_prime screens out squares and other composites, then Proth's
-    theorem proves P prime by a^((P-1)/2) = -1 mod P for some a < 2^10."""
+    theorem proves P prime by a^((P-1)/2) = -1 mod P for some a < 2^10.
+    A search past MAX_OBSTRUCTION_WORK is refused before it starts."""
+    bits = lo.bit_length() + 1
+    work = (bits * -(-bits // 30)) ** 2 // PROTH_SEARCH_DIVISOR
+    if work > MAX_OBSTRUCTION_WORK:
+        raise ResourceCapError(f"finding a {bits}-bit Proth prime needs about {work} digit "
+                               f"operations; the cap is {MAX_OBSTRUCTION_WORK}")
     for n in count(lo.bit_length() // 2 + 1):
         for k in range(-(-lo >> n) | 1, 1 << n, 2):
             p = (k << n) + 1

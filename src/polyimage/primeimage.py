@@ -265,6 +265,18 @@ def joint_count_table(mask: ImageMask, axes) -> np.ndarray:
     return table
 
 
+# Most axes of a joint-count table, one per offset or window interval: numpy's
+# limit on array dimensions
+MAX_TABLE_AXES = 64
+
+
+def check_table_axes(r: int) -> None:
+    """Raise ResourceCapError for a table of r axes past MAX_TABLE_AXES."""
+    if r > MAX_TABLE_AXES:
+        raise ResourceCapError(f"{r} offsets or window intervals need a {r}-axis joint-count "
+                               f"table; the cap is {MAX_TABLE_AXES} axes")
+
+
 def table_work(p: int, lengths) -> tuple[int, int]:
     """What joint_count_table costs at the prime p with axes of these
     lengths: the ANDs and popcounts, in 64-bit words (one table entry or

@@ -18,9 +18,10 @@ drops the points on the excluded hyperplanes (equal coordinates, zero
 coordinates), and multiplies per-prime joint counts.  A prime's counts depend
 on the point only modulo p, so each prime contributes one
 primeimage.joint_count_table over at most p residues per axis, gathered
-over the whole box in numpy.  The box's points (MAX_LATTICE_POINTS) and the
-tables' words and held rotations (MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES)
-are bounded before the first table is built.
+over the whole box in numpy.  The box's axes (primeimage.MAX_TABLE_AXES),
+its points (MAX_LATTICE_POINTS) and the tables' words and held rotations
+(MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES) are bounded before the first
+table is built.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .composite import (
 )
 from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly
-from .primeimage import image_mask, joint_count_table, table_work
+from .primeimage import check_table_axes, image_mask, joint_count_table, table_work
 
 MAX_LATTICE_POINTS = 4_000_000
 # Bounds on the per-prime joint-count tables of a correlation sum
@@ -254,6 +255,7 @@ def correlation(
     box, normalized by the image size.  Exact rational output.  A
     permutation prime (omega_p = p) has the same count at every offset, so
     only the primes of the reduced modulus q1 are multiplied."""
+    check_table_axes(window.dimension)
     stats = composite_stats(f, modulus)
     s_q = stats.s_q
     if s_q == 1:  # every prime a permutation prime
@@ -263,10 +265,11 @@ def correlation(
     omega_q = stats.omega_q_size * used.q // modulus.q
     k = window.dimension + 1
     ranges = [range(math.ceil(a * s_q), math.floor(b * s_q) + 1) for a, b in window.intervals]
-    shape = tuple(len(r) for r in ranges)
+    shape = tuple(max(0, r.stop - r.start) for r in ranges)  # len() overflows past 2^63
     total = math.prod(shape)
-    if total > MAX_LATTICE_POINTS:
-        raise ResourceCapError(f"{total} lattice points exceed the cap {MAX_LATTICE_POINTS}")
+    if max(total, *shape) > MAX_LATTICE_POINTS:  # an empty axis still walks the others
+        raise ResourceCapError(f"a lattice of {' x '.join(map(str, shape))} points exceeds "
+                               f"the cap of {MAX_LATTICE_POINTS}")
     _check_table_work(used.primes, shape)
     # The count at h is the product over p of N_p(h mod p), and along an axis
     # the residues repeat with period p: each prime's table covers the first

@@ -6,8 +6,7 @@ next to the checks that use them, and never adjusted at run time.  Exact
 comparisons are used wherever both sides are rational (squared inequalities
 stand in for square roots).
 
-The test corpus below is fixed.  The "morse" flag is descriptive metadata for
-choosing entries in degree-sensitive checks, not a computed predicate.
+The test corpus below is fixed.
 """
 
 from __future__ import annotations
@@ -63,20 +62,10 @@ DAVENPORT_PRIME = 100003
 class CorpusEntry:
     name: str
     poly: IntPoly
-    morse: bool
 
 
-def _entry(text: str, morse: bool) -> CorpusEntry:
-    return CorpusEntry(text, parse_poly(text), morse)
-
-
-CORPUS = (
-    _entry("x^2", True),
-    _entry("x^3", False),
-    _entry("x^3+x", True),
-    _entry("x^3-3x", True),
-    _entry("x^4-2x^2", False),
-)
+CORPUS = tuple(CorpusEntry(text, parse_poly(text))
+               for text in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2"))
 
 QUARTIC = parse_poly("x^4-2x^2")
 

@@ -161,6 +161,36 @@ def test_modulus_and_primes_are_exclusive(capsys):
         assert not out and "--primes: not allowed with argument --modulus" in err, command
 
 
+_MODULUS = ["--modulus", "105"]
+_REQUIRED = {"correlate": ["--window", "0:1"], "nk": ["--offsets", "1"]}
+_PARSER_REFUSALS = (
+    [([c, *(_MODULUS if c != "critical" else []), *_REQUIRED.get(c, [])], "--poly")
+     for c in ("image", "correlate", "spacings", "critical", "nk")]
+    + [([c, "--poly", "x^2", *_REQUIRED.get(c, [])], "--modulus")
+       for c in ("image", "correlate", "spacings", "nk")]
+    + [(["correlate", "--poly", "x^2", *_MODULUS], "--window"),
+       (["nk", "--poly", "x^2", *_MODULUS], "--offsets"),
+       (["verify", "nosuchsuite"], "argument suite"),
+       (["nk", "--poly", "x^2", "--primes", "3,5,a", "--offsets", "1"], "--primes"),
+       (["nk", "--poly", "x^2", *_MODULUS, "--offsets", ""], "--offsets")])
+
+
+@pytest.mark.parametrize("argv, flag", _PARSER_REFUSALS, ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else v)
+def test_parser_refuses_before_any_command(capsys, monkeypatch, argv, flag):
+    # a missing required flag, an unknown suite or a malformed integer list
+    # exits 2 from argparse, before any command builds a mask
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    primeimage.image_mask.cache_clear()
+    monkeypatch.setattr(primeimage, "compute_image", build)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and not out and flag in err
+
+
 def test_cap_bits_below_one_rejected(capsys):
     for bits in ("-5", "0"):
         with pytest.raises(SystemExit) as exc:
@@ -243,6 +273,22 @@ def test_obstruction_work_cap_exit_in_seconds(capsys):
     assert "114-bit prime" in err and err.strip().endswith(
         f"the cap is {polyarith.MAX_OBSTRUCTION_WORK}")
     assert time.perf_counter() - start < 5
+
+
+def test_proth_search_charged_before_it_starts(capsys):
+    # x^2 + ax has one critical value, -a^2/4: a of 600 sevens needs a
+    # 3987-bit Proth prime, a search of about 25 s, refused before it starts;
+    # 300 sevens (1994 bits, about 2 s) are still computed
+    sevens = "7" * 600
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "polyimage.cli", "critical",
+                           "--poly", f"x^2+{sevens}x"],
+                          capture_output=True, env=_subprocess_env(), text=True, timeout=60)
+    assert proc.returncode == 3 and not proc.stdout
+    assert "finding a 3987-bit Proth prime" in proc.stderr
+    assert time.monotonic() - start < 2
+    code, out, _ = run(capsys, "critical", "--poly", f"x^2+{sevens[:300]}x")
+    assert code == 0 and json.loads(out)["result"]["critical_diffs_integers"] == [0]
 
 
 def test_refused_prime_costs_no_integer_set(capsys, monkeypatch):
@@ -420,10 +466,46 @@ def test_nk_command(capsys):
 
 
 def test_nk_rejects_bad_lists(capsys):
-    code, out, err = run(capsys, "nk", "--poly", "x^2", "--modulus", "105", "--offsets", "")
-    assert code == 2 and "--offsets" in err and not out
-    code, out, err = run(capsys, "nk", "--poly", "x^2", "--primes", "3,5,a", "--offsets", "1")
-    assert code == 2 and "--primes" in err and not out
+    for argv, flag in ((["--modulus", "105", "--offsets", ""], "--offsets"),
+                       (["--primes", "3,5,a", "--offsets", "1"], "--primes")):
+        with pytest.raises(SystemExit) as exc:
+            main(["nk", "--poly", "x^2", *argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and flag in err and not out, argv
+
+
+def test_table_axes_cap(capsys, monkeypatch):
+    # numpy arrays have at most 64 dimensions: a 65th offset or window
+    # interval is refused before any mask is built
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    def argvs(r):
+        return (["nk", "--poly", "x^2", "--primes", "101",
+                 "--offsets", ",".join(map(str, range(1, r + 1)))],
+                ["correlate", "--poly", "x^2", "--modulus", "15", "--window",
+                 ",".join(["2/5:1/2"] * r)])
+
+    for argv in argvs(primeimage.MAX_TABLE_AXES):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["result"]["k"] == 65, argv[0]
+    primeimage.image_mask.cache_clear()
+    monkeypatch.setattr(primeimage, "compute_image", build)
+    for argv in argvs(primeimage.MAX_TABLE_AXES + 1):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv[0]
+        assert err.strip() == ("resource cap: 65 offsets or window intervals need a 65-axis "
+                               "joint-count table; the cap is 64 axes"), argv[0]
+
+
+def test_huge_window_refused_by_lattice_cap(capsys):
+    # an axis past 2^63 points, alone or beside an empty one (no integer in
+    # [s/10, s/5] at s = 35/8): refused, not an overflow
+    for window in ("0:10000000000000000000000", "0:10000000000000000000000,1/10:1/5"):
+        code, out, err = run(capsys, "correlate", "--poly", "x^2", "--modulus", "105",
+                             "--window", window)
+        assert code == 3 and not out, window
+        assert "a lattice of 43750000000000000000001" in err, window
 
 
 def test_verify_multiplicativity(capsys):
@@ -434,8 +516,9 @@ def test_verify_multiplicativity(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "nosuchsuite")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuchsuite"])
+    assert exc.value.code == 2
 
 
 def test_verify_anomaly_single_prime(capsys):
