@@ -38,7 +38,6 @@ from .primeimage import (
 from .stats import (
     CorrelationResult,
     CorrelationWindow,
-    Histogram,
     KSResult,
     SpacingSeries,
     adjacent_gap_correlation,

@@ -5,8 +5,10 @@ Each subcommand declares only the flags it reads, plus `--workers` (at least
 read.  The parser alone knows which flags a command requires, how an integer
 list is written and which suites exist: anything argparse can reject exits 2
 before any command runs.  A command checks only what its values mean and
-returns its exit code, its `result` payload and a human summary; `main`
-alone writes them out.
+returns its exit code, its `result` payload of raw values (Fractions,
+floats, ints, strings, bools, lists) and a human summary; `main` alone
+writes them out, through the one renderer `_jsonable`, which also renders
+the rows `spacings --out` writes.
 
 Machine-first output: the JSON report goes to stdout (stable key order, so a
 fixed command line produces byte-identical bytes; `config` echoes the parsed
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -54,15 +55,6 @@ from .stats import (
 from .verify import ANOMALY_THRESHOLD, SUITES, anomaly_report
 
 
-def _f12(x: float) -> float:
-    """Floats rendered at 12 significant digits for reproducible reports."""
-    return float(f"{x:.12g}")
-
-
-def _frac(fr: Fraction) -> dict:
-    return {"ratio": f"{fr.numerator}/{fr.denominator}", "float": _f12(float(fr))}
-
-
 def _parse_window(text: str) -> CorrelationWindow:
     intervals = []
     for part in text.split(","):
@@ -84,13 +76,13 @@ def cmd_image(args: argparse.Namespace) -> tuple[int, dict, str]:
         "q": m.q,
         "primes": list(m.primes),
         "omega_size": stats.omega_q_size,
-        "s_q": _frac(stats.s_q),
+        "s_q": stats.s_q,
         "q1": list(stats.q1_reduced.primes),
         "per_prime": [
             {
                 "p": st.p,
                 "omega": st.omega_size,
-                "s_p": _frac(st.s_p),
+                "s_p": st.s_p,
                 "is_permutation": st.is_permutation,
                 "wan_ok": st.wan_ok,
             }
@@ -112,10 +104,10 @@ def cmd_correlate(args: argparse.Namespace) -> tuple[int, dict, str]:
     res = correlation(f, m, window)
     result = {
         "k": res.k,
-        "r_k": _frac(res.value),
-        "volume": _frac(res.volume),
-        "deviation": _frac(res.deviation),
-        "s_q": _frac(res.s_q),
+        "r_k": res.value,
+        "volume": res.volume,
+        "deviation": res.deviation,
+        "s_q": res.s_q,
         "lattice_points": res.lattice_points,
         "excluded_points": res.excluded,
         "q1": list(res.modulus_used.primes),
@@ -138,43 +130,15 @@ def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
     result = {
         "q": m.q,
         "omega_size": series.element_count,
-        "s_q": _frac(Fraction(m.q, series.element_count)),
-        "ks": {"statistic": _f12(ks.statistic), "n": ks.n},
-        "adjacent_gap_correlation": _f12(corr),
-        "gap_frequencies": {
-            str(h): _frac(gap_frequency(series, h)) for h in range(1, 11)
-        },
+        "s_q": Fraction(m.q, series.element_count),
+        "ks": {"statistic": ks.statistic, "n": ks.n},
+        "adjacent_gap_correlation": corr,
+        "gap_frequencies": {h: gap_frequency(series, h) for h in range(1, 11)},
     }
     if args.out:
-        hist = histogram_normalized(series, bins=args.bins or 50)
-        _write_out(args, _histogram_rows(hist), result)
+        _write_out(args, histogram_normalized(series, bins=args.bins or 50), result)
     return 0, result, (f"{series.element_count} gaps, KS {ks.statistic:.4f}, "
                        f"adjacent correlation {corr:.4f}")
-
-
-def _histogram_rows(hist) -> list[dict]:
-    rows = []
-    n = hist.total
-    for i, count in enumerate(hist.counts):
-        left, right = hist.edges[i], hist.edges[i + 1]
-        width = right - left
-        rows.append({
-            "bin_left": _f12(left),
-            "bin_right": _f12(right),
-            "count": count,
-            "density": _f12(count / (n * width)) if n else 0.0,
-            "exp_reference": _f12((math.exp(-left) - math.exp(-right)) / width),
-        })
-    top = hist.edges[-1]
-    # overflow row: bin_right "inf", density column carries the tail mass
-    rows.append({
-        "bin_left": _f12(top),
-        "bin_right": "inf",
-        "count": hist.overflow,
-        "density": _f12(hist.overflow / n) if n else 0.0,
-        "exp_reference": _f12(math.exp(-top)),
-    })
-    return rows
 
 
 def _write_out(args: argparse.Namespace, rows: list[dict], result: dict) -> None:
@@ -184,13 +148,13 @@ def _write_out(args: argparse.Namespace, rows: list[dict], result: dict) -> None
         raise InvalidInputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     with fh:
         if args.format == "json":
-            json.dump({"histogram": rows, "summary": result}, fh, sort_keys=True)
+            json.dump(_jsonable({"histogram": rows, "summary": result}), fh, sort_keys=True)
         else:
             writer = csv.DictWriter(
                 fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
             )
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(map(_jsonable, rows))
 
 
 def _require_prime(p: int) -> int:
@@ -231,8 +195,8 @@ def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
         per_prime.append({
             "p": p,
             "count": count,
-            "expected": _frac(expected_joint_count(p, Fraction(p, mask.count), k)),
-            "error": _frac(joint_count_error(mask, count, k)),
+            "expected": expected_joint_count(p, Fraction(p, mask.count), k),
+            "error": joint_count_error(mask, count, k),
         })
     result = {"q": m.q, "k": k, "offsets": args.offsets, "joint_count": total,
               "per_prime": per_prime}
@@ -255,21 +219,34 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, dict, str]:
     result = {
         "suite": args.suite,
         "passed": passed,
-        "checks": [{"name": c.name, "passed": c.passed, "details": _jsonable(c.details)}
+        "checks": [{"name": c.name, "passed": c.passed, "details": c.details}
                    for c in checks],
     }
     return 0 if passed else 1, result, "\n".join(c.line() for c in checks)
 
 
+# rendering -------------------------------------------------------------------
+
+def _f12(x: float) -> float:
+    """Floats rendered at 12 significant digits for reproducible reports."""
+    return float(f"{x:.12g}")
+
+
+def _frac(fr: Fraction) -> str:
+    return f"{fr.numerator}/{fr.denominator}"
+
+
 def _jsonable(obj):
+    """JSON values of raw report values: a Fraction becomes its exact ratio
+    beside a float, and a float keeps 12 significant digits."""
+    if isinstance(obj, float):
+        return _f12(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
-        return _frac(obj)
-    if isinstance(obj, float):
-        return _f12(obj)
+        return {"ratio": _frac(obj), "float": _f12(float(obj))}
     return obj
 
 
@@ -361,8 +338,8 @@ def main(argv=None) -> int:
     try:
         code, result, summary = _COMMANDS[args.command](args)
         config = dict(vars(args), version=__version__)
-        print(json.dumps({"command": args.command, "config": config, "result": result},
-                         sort_keys=True))
+        print(json.dumps({"command": args.command, "config": config,
+                          "result": _jsonable(result)}, sort_keys=True))
         print(summary, file=sys.stderr)
         sys.stdout.flush()
         return code

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import count, zip_longest
 
@@ -43,15 +43,10 @@ def _trim(coeffs) -> tuple[int, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
-class IntPoly:
-    """Univariate polynomial with arbitrary-precision integer coefficients.
-    The constructor takes any iterable of coefficients and trims it."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _trim(self.coeffs))
+class _Poly:
+    """What IntPoly and FpPoly share, read from `coeffs` alone; each new
+    polynomial is built by dataclasses.replace, so its constructor
+    normalizes it."""
 
     @property
     def degree(self) -> int:
@@ -67,11 +62,12 @@ class IntPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
+    def derivative(self):
+        return replace(self, coeffs=(i * c for i, c in enumerate(self.coeffs) if i))
 
-    def shifted(self, r: int) -> "IntPoly":
-        """f(x + r), exact Taylor shift."""
+    def shifted(self, r: int):
+        """f(x + r), exact Taylor shift: Horner in (x + r), whose
+        coefficients come out in ascending order."""
         out: list[int] = []
         for c in reversed(self.coeffs):
             carry = c
@@ -79,8 +75,18 @@ class IntPoly:
                 out[i] = o * r + carry
                 carry = o
             out.append(carry)
-        # Horner in (x + r) leaves coefficients in ascending order already.
-        return IntPoly(out)
+        return replace(self, coeffs=out)
+
+
+@dataclass(frozen=True)
+class IntPoly(_Poly):
+    """Univariate polynomial with arbitrary-precision integer coefficients.
+    The constructor takes any iterable of coefficients and trims it."""
+
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", _trim(self.coeffs))
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -96,7 +102,7 @@ class IntPoly:
 
 
 @dataclass(frozen=True)
-class FpPoly:
+class FpPoly(_Poly):
     """Polynomial over F_p.  The constructor takes any iterable of integer
     coefficients, reduces them into [0, p) and trims the result."""
 
@@ -106,42 +112,12 @@ class FpPoly:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", _trim(c % self.p for c in self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def evaluate(self, x: int) -> int:
         acc = 0
         x %= self.p
         for c in reversed(self.coeffs):
             acc = (acc * x + c) % self.p
         return acc
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, (i * c for i, c in enumerate(self.coeffs) if i))
-
-    def shifted(self, r: int) -> "FpPoly":
-        """f(x + r) over F_p."""
-        p = self.p
-        r %= p
-        out: list[int] = []
-        for c in reversed(self.coeffs):
-            carry = c
-            for i, o in enumerate(out):
-                out[i] = (o * r + carry) % p
-                carry = o
-            out.append(carry)
-        return FpPoly(p, out)
 
     def monic(self) -> "FpPoly":
         if self.is_zero or self.leading == 1:

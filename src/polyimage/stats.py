@@ -10,8 +10,9 @@ from the masks it builds and caches in this process.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
 q/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
-a statistic is inherently real-valued: the KS distance and histogram columns
-convert single gap values to floats at the last step.
+a statistic is inherently real-valued: the KS distance converts single gap
+values to floats at the last step, and the histogram finds each gap's bin in
+integers, so its bins are exact and only its edges and densities are floats.
 
 The correlation sum runs over the integer points of the dilated window,
 drops the points on the excluded hyperplanes (equal coordinates, zero
@@ -56,7 +57,7 @@ MAX_TABLE_ROTATION_BYTES = 1 << 28
 # gaps below this bound are counted in one table; fewer than q / bound lie above
 _SMALL_GAPS = 1 << 16
 # normalized gaps at or above this bound are the histogram's overflow
-HISTOGRAM_UPPER = 6.0
+HISTOGRAM_UPPER = 6
 
 
 @dataclass
@@ -165,26 +166,31 @@ def adjacent_gap_correlation(series: SpacingSeries) -> float:
     return float(Fraction(n * series.lag_sum - q * q, den))
 
 
-@dataclass(frozen=True)
-class Histogram:
-    edges: tuple[float, ...]
-    counts: tuple[int, ...]
-    total: int
-    overflow: int
-
-
-def histogram_normalized(series: SpacingSeries, bins: int = 50) -> Histogram:
-    """Histogram of normalized gaps on [0, HISTOGRAM_UPPER) plus an overflow count."""
+def histogram_normalized(series: SpacingSeries, bins: int = 50) -> list[dict]:
+    """The rows `spacings --out` writes: normalized gaps t in left-closed bins
+    of width HISTOGRAM_UPPER / bins, then one overflow row for t >= HISTOGRAM_UPPER.
+    Gap g lies in bin floor(t * bins / HISTOGRAM_UPPER), t = g * n / q, found in
+    integers, so a gap on an edge goes to the upper bin.  Each bin row holds
+    its edges, count, density and the exponential density averaged over the
+    bin; the overflow row holds the tail mass and the exponential tail."""
     if bins < 1:
         raise InvalidInputError("need bins >= 1")
-    ts = series.gap_values.astype(np.float64) * (series.element_count / series.modulus.q)
-    width = HISTOGRAM_UPPER / bins
-    idx = np.minimum((ts / width).astype(np.int64), bins)
-    counts = np.zeros(bins + 1, np.int64)
-    np.add.at(counts, idx, series.gap_counts)
-    edges = tuple(i * width for i in range(bins + 1))
-    return Histogram(edges, tuple(int(c) for c in counts[:bins]),
-                     series.element_count, int(counts[bins]))
+    n, q = series.element_count, series.modulus.q
+    counts = [0] * (bins + 1)
+    for g, c in zip(series.gap_values.tolist(), series.gap_counts.tolist()):
+        counts[min(g * n * bins // (q * HISTOGRAM_UPPER), bins)] += c
+    step = HISTOGRAM_UPPER / bins
+    rows = []
+    for i, count in enumerate(counts[:bins]):
+        left, right = i * step, (i + 1) * step
+        width = right - left
+        rows.append({"bin_left": left, "bin_right": right, "count": count,
+                     "density": count / (n * width),
+                     "exp_reference": (math.exp(-left) - math.exp(-right)) / width})
+    top = bins * step
+    rows.append({"bin_left": top, "bin_right": "inf", "count": counts[bins],
+                 "density": counts[bins] / n, "exp_reference": math.exp(-top)})
+    return rows
 
 
 # ---------------------------------------------------------------------------

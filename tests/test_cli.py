@@ -77,6 +77,19 @@ def test_spacings_csv_out(capsys, tmp_path):
     assert r["gap_frequencies"]["1"]["ratio"] == "1/6"
 
 
+def test_spacings_out_gap_on_an_edge_goes_to_the_upper_bin(capsys, tmp_path):
+    # x^2 mod 10: image {0, 1, 4, 5, 6, 9}, gaps 1 and 3 normalized to 0.6 and
+    # 1.8, each a multiple of the width 0.12; bins are left-closed
+    out_path = tmp_path / "hist.csv"
+    code, _, _ = run(capsys, "spacings", "--poly", "x^2", "--modulus", "10", "--bins", "50",
+                     "--out", str(out_path))
+    assert code == 0
+    rows = out_path.read_text().splitlines()[1:]
+    assert "1.8,1.92,2,2.77777777778,0.15576605076" in rows
+    assert {row.split(",")[2] for row in rows if row.startswith(("1.68,", "0.48,"))} == {"0"}
+    assert rows[5].startswith("0.6,0.72,4,") and rows[-1].startswith("6.0,inf,0,")
+
+
 def test_spacings_format_needs_out(capsys, tmp_path):
     code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
                          "--format", "json")

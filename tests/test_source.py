@@ -87,6 +87,39 @@ def test_one_critical_value_route():
                                                       ("polyarith.py", "critical_diffs_mod")}
 
 
+def test_one_report_renderer():
+    # commands put raw values in `result`; floats and Fractions are written
+    # out in one place, cli._jsonable
+    assert package_callers("_frac") == {("cli.py", "_jsonable")}
+    assert package_callers("_f12") == {("cli.py", "_jsonable")}
+
+
+def definitions(name: str) -> list[tuple[str, str]]:
+    """(module, enclosing class or "") for each def or class named `name`."""
+    out = []
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            inner = node.body if isinstance(node, ast.ClassDef) else []
+            out += [(path.name, node.name) for n in inner
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+                out.append((path.name, ""))
+    return out
+
+
+def test_one_histogram_table():
+    # stats.histogram_normalized returns the rows `spacings --out` writes
+    assert definitions("Histogram") == []
+    assert definitions("_histogram_rows") == []
+
+
+def test_polynomial_methods_written_once():
+    # IntPoly and FpPoly share them through one base class
+    for name in ("shifted", "derivative", "degree", "is_zero", "leading"):
+        assert definitions(name) == [("polyarith.py", "_Poly")], name
+
+
 def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
     """Module-level functions and classes that no code outside their own
     definition reads by name or attribute; __init__.py re-exports do not count."""

@@ -123,11 +123,11 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
     assert s.lag_sum == sum(g * gaps[(i + 1) % n] for i, g in enumerate(gaps))
     for h in range(1, 11):
         assert gap_frequency(s, h) == Fraction(gaps.count(h), n)
-    hist = histogram_normalized(s)
-    width = 6.0 / 50
-    bins = [min(int(float(g) * (n / q) / width), 50) for g in gaps]
-    assert list(hist.counts) == [bins.count(i) for i in range(50)]
-    assert hist.overflow == bins.count(50) and hist.total == n
+    for bins in (50, 60):
+        # gap g's bin is floor(g * n / q / (6 / bins)), exactly; the last is the overflow
+        index = [min(math.floor(Fraction(g * n * bins, q * 6)), bins) for g in gaps]
+        rows = histogram_normalized(s, bins)
+        assert [r["count"] for r in rows] == [index.count(i) for i in range(bins + 1)]
     ks = ks_exponential(s)
     assert ks.n == n
     assert ks.statistic == pytest.approx(
@@ -211,9 +211,11 @@ def test_adjacent_correlation_small_at_moderate_q():
 
 def test_histogram_partitions_sample():
     s = spacing_series(parse_poly("x^2"), parse_modulus(15015))
-    h = histogram_normalized(s, bins=40)
-    assert sum(h.counts) + h.overflow == h.total == s.element_count
-    assert all(b > a for a, b in zip(h.edges, h.edges[1:]))
+    rows = histogram_normalized(s, bins=40)
+    assert len(rows) == 41 and sum(r["count"] for r in rows) == s.element_count
+    assert all(r["bin_right"] > r["bin_left"] for r in rows[:-1])
+    assert all(a["bin_right"] == b["bin_left"] for a, b in zip(rows, rows[1:]))
+    assert rows[-1]["bin_left"] == 6 and rows[-1]["bin_right"] == "inf"
 
 
 def test_correlation_example_105():
