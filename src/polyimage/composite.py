@@ -188,10 +188,14 @@ def enumerate_image(f: IntPoly, modulus: SquareFreeModulus, cap_bits: int = DEFA
     image mod Q_B in q/Q_A packed bits.
     Refuses moduli beyond cap_bits at the call; correlation-style statistics
     stay available through the multiplicative path."""
-    q = modulus.q
+    check_enumeration_cap(modulus.q, cap_bits)
+    return _crt_windows([image_mask(f, p) for p in modulus.primes], modulus.q)
+
+
+def check_enumeration_cap(q: int, cap_bits: int) -> None:
+    """Raise ResourceCapError for q beyond cap_bits residues."""
     if q > cap_bits:
         raise ResourceCapError(
             f"q={q} exceeds the {cap_bits}-residue enumeration cap; "
             "use the multiplicative correlation workflow instead"
         )
-    return _crt_windows([image_mask(f, p) for p in modulus.primes], q)

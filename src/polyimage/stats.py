@@ -4,11 +4,13 @@ Gaps between consecutive image elements modulo q (including the wraparound
 gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
 statistic reads one gap table -- the count of each gap value and the lag-1
-sum of products of neighbouring gaps -- which is filled in one pass over the
-image as composite.enumerate_image streams it in chunks of whole windows,
-from the masks it builds and caches in this process.
+sum of products of neighbouring gaps.  A permutation prime (omega_p = p)
+only repeats the cycle of gaps, so the table is filled in one pass over the
+image modulo the reduced modulus q1, as composite.enumerate_image streams it
+in chunks of whole windows from the cached masks, and its counts and lag-1
+sum are then scaled by q/q1; the cap on enumeration still bounds q itself.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
-q/2^16, are kept and merged by one sort at the end, so neither a per-gap
+q1/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
 a statistic is inherently real-valued: the KS distance converts single gap
 values to floats at the last step, and the histogram finds each gap's bin in
@@ -36,6 +38,7 @@ import numpy as np
 
 from .composite import (
     SquareFreeModulus,
+    check_enumeration_cap,
     composite_stats,
     enumerate_image,
     DEFAULT_CAP_BITS,
@@ -78,13 +81,18 @@ class SpacingSeries:
 
 def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
                    cap_bits: int = DEFAULT_CAP_BITS) -> SpacingSeries:
-    """Gap table of f modulo q, streamed from the image chunk by chunk.
-    enumerate_image checks cap_bits before it builds any mask, and the
-    degeneracy check after it reads those masks from the cache.  Refuses
-    degenerate moduli where the mean spacing is 1 (nothing to normalize)."""
-    chunks = enumerate_image(f, modulus, cap_bits=cap_bits)
-    if composite_stats(f, modulus).s_q == 1:
+    """Gap table of f modulo q, streamed from the image modulo q1 chunk by
+    chunk.  A permutation prime takes every residue, so t is in the image mod
+    q iff t mod q1 is in the image mod q1: the cycle of gaps mod q is c = q/q1
+    copies of the cycle mod q1, and the element count, every gap count and
+    the lag-1 sum are c times their values there.  Refuses q beyond cap_bits
+    before any mask is built, degenerate moduli where the mean spacing is 1
+    (nothing to normalize), and images of fewer than two elements."""
+    check_enumeration_cap(modulus.q, cap_bits)
+    reduced = composite_stats(f, modulus).q1_reduced
+    if reduced.q == 1:  # every prime a permutation prime: s_q = 1
         raise DegenerateInputError("degenerate: mean spacing 1")
+    copies = modulus.q // reduced.q
     small, large = np.zeros(_SMALL_GAPS, np.int64), [np.empty(0, np.int64)]
 
     def tally(gaps):
@@ -97,7 +105,7 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
 
     count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
     first = last = head = None
-    for els in chunks:
+    for els in enumerate_image(f, reduced, cap_bits=cap_bits):
         count += len(els)
         gaps = np.empty(len(els), np.int64)
         np.subtract(els[1:], els[:-1], out=gaps[1:])
@@ -114,16 +122,17 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
             lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
             prev = int(gaps[-1])
             tally(gaps)
-    if count < 2:
+    if copies * count < 2:
         raise DegenerateInputError("image has fewer than two elements")
-    wrap = first + modulus.q - last
-    lag_sum += prev * wrap + wrap * head
+    # one element mod q1 (f constant mod each of its primes): one gap of q1, its own successor
+    wrap = first + reduced.q - last
+    lag_sum += prev * wrap + wrap * (wrap if head is None else head)
     tally(np.array([wrap]))
     small_values = np.flatnonzero(small)
     big_values, big_counts = np.unique(np.concatenate(large), return_counts=True)
     values = np.concatenate([small_values, big_values])
     counts = np.concatenate([small[small_values], big_counts])
-    return SpacingSeries(modulus, count, values, counts, lag_sum)
+    return SpacingSeries(modulus, copies * count, values, copies * counts, copies * lag_sum)
 
 
 def gap_frequency(series: SpacingSeries, h: int) -> Fraction:

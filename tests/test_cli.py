@@ -66,6 +66,22 @@ def test_spacings_degenerate_exit(capsys):
     assert code == 2 and "mean spacing" in err
 
 
+def test_spacings_one_image_element_mod_q1(capsys):
+    # 3x is constant mod 3 and a permutation mod 5 and 7: the image mod
+    # q1 = 3 is {0}, one gap of 3, repeated q/3 times
+    for q in (15, 105):
+        code, out, err = run(capsys, "spacings", "--poly", "3x", "--modulus", str(q))
+        assert code == 0
+        assert json.loads(out)["result"] == {
+            "q": q, "omega_size": q // 3, "s_q": {"ratio": "3/1", "float": 3.0},
+            "ks": {"statistic": 0.632120558829, "n": q // 3},
+            "adjacent_gap_correlation": 0.0,
+            "gap_frequencies": {str(h): {"ratio": "1/1" if h == 3 else "0/1", "float": float(h == 3)}
+                                for h in range(1, 11)},
+        }
+        assert err == f"{q // 3} gaps, KS 0.6321, adjacent correlation 0.0000\n"
+
+
 def test_spacings_csv_out(capsys, tmp_path):
     out_path = tmp_path / "hist.csv"
     code, out, _ = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
@@ -158,8 +174,12 @@ def test_spacings_cap_exit_before_any_mask(capsys, monkeypatch):
         raise AssertionError(f"mask built at p={p}")
 
     monkeypatch.setattr(primeimage, "compute_image", build)
-    for argv in (["--primes", "200000033,200000039"], ["--modulus", "200000033", "--cap-bits", "1000"]):
-        code, out, err = run(capsys, "spacings", "--poly", "x^3+x", *argv)
+    primeimage.image_mask.cache_clear()
+    for poly, argv in (("x^3+x", ["--primes", "200000033,200000039"]),
+                       ("x^3+x", ["--modulus", "200000033", "--cap-bits", "1000"]),
+                       # q = 210 is over the cap though q1 = 7 is not: the cap bounds q
+                       ("x^3", ["--primes", "2,3,5,7", "--cap-bits", "100"])):
+        code, out, err = run(capsys, "spacings", "--poly", poly, *argv)
         assert code == 3 and not out and "enumeration cap" in err, argv
 
 

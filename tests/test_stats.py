@@ -55,9 +55,13 @@ def test_spacing_cap_refused_before_any_mask(monkeypatch):
         raise AssertionError(f"mask built at p={p}")
 
     monkeypatch.setattr(primeimage, "compute_image", build)
-    for m in (parse_modulus(105), parse_modulus([200000033, 200000039])):
+    primeimage.image_mask.cache_clear()
+    for f, m in ((parse_poly("x+98765"), parse_modulus(105)),
+                 (parse_poly("x+98765"), parse_modulus([200000033, 200000039])),
+                 # q = 210 is over the cap though q1 = 7 is not: the cap bounds q
+                 (parse_poly("x^3"), parse_modulus([2, 3, 5, 7]))):
         with pytest.raises(ResourceCapError, match="enumeration cap"):
-            spacing_series(parse_poly("x+98765"), m, cap_bits=100)
+            spacing_series(f, m, cap_bits=100)
 
 
 def test_spacing_sums_exact():
@@ -141,6 +145,48 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
         assert corr == float(exact)
         g = np.array(gaps, np.float64)
         assert corr == pytest.approx(np.corrcoef(g, np.roll(g, -1))[0, 1], abs=1e-12)
+
+
+@pytest.mark.parametrize("poly, q", [
+    ("x^2", 2 * 3 * 5 * 7),
+    ("x^2", 2 * 3 * 5 * 7 * 11 * 13),
+    ("x^3", 2 * 3 * 5 * 7 * 11 * 13),  # 2, 3, 5 and 11 are permutation primes
+    ("x^3+x", 3 * 7 * 11 * 13),
+    ("3x+1", 3 * 5 * 7),  # one element mod q1 = 3
+    ("6x", 2 * 3 * 5 * 7 * 11),
+])
+def test_gap_table_reads_the_image_mod_q1(poly, q):
+    # the table read from the image mod q1 equals the one from every residue of q
+    f, m = parse_poly(poly), parse_modulus(q)
+    els = [int(t) for chunk in enumerate_image(f, m) for t in chunk]
+    n = len(els)
+    gaps = [b - a for a, b in zip(els, els[1:])] + [els[0] + q - els[-1]]
+    calls = []
+
+    def spy(f, modulus, **kwargs):
+        calls.append([modulus, 0])
+        for chunk in enumerate_image(f, modulus, **kwargs):
+            calls[-1][1] += len(chunk)
+            yield chunk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "enumerate_image", spy)
+        s = spacing_series(f, m)
+    q1 = composite.composite_stats(f, m).q1_reduced
+    assert q1.q < q and calls == [[q1, n * q1.q // q]]
+    assert s.modulus == m and s.element_count == n
+    assert list(s.gap_values) == sorted(set(gaps))
+    assert list(s.gap_counts) == [gaps.count(v) for v in sorted(set(gaps))]
+    assert s.lag_sum == sum(g * gaps[(i + 1) % n] for i, g in enumerate(gaps))
+
+
+def test_one_image_element_mod_q1_needs_a_copy():
+    # f constant mod every prime of q1: the cycle mod q1 is one gap of q1
+    s = spacing_series(parse_poly("3x"), parse_modulus(15))
+    assert (s.element_count, list(s.gap_values), list(s.gap_counts), s.lag_sum) == (5, [3], [5], 45)
+    for poly, q in (("3x", 3), ("15", 15)):
+        with pytest.raises(DegenerateInputError, match="fewer than two"):
+            spacing_series(parse_poly(poly), parse_modulus(q))
 
 
 def test_gap_table_memory_is_bounded_across_chunks():
