@@ -24,7 +24,6 @@ from .polyarith import (
 from .primeimage import (
     Anomaly,
     ImageMask,
-    PrimeStats,
     anomaly_scan,
     compute_image,
     expected_joint_count,
@@ -33,7 +32,7 @@ from .primeimage import (
     joint_count_error,
     max_pair_correlation,
     pair_counts,
-    prime_stats,
+    wan_ok,
 )
 from .stats import (
     CorrelationResult,

@@ -42,7 +42,7 @@ from .polyarith import (
     poly_to_text,
 )
 from .primeimage import (check_table_axes, expected_joint_count, image_mask, joint_count,
-                         joint_count_error)
+                         joint_count_error, wan_ok)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -80,13 +80,13 @@ def cmd_image(args: argparse.Namespace) -> tuple[int, dict, str]:
         "q1": list(stats.q1_reduced.primes),
         "per_prime": [
             {
-                "p": st.p,
-                "omega": st.omega_size,
-                "s_p": st.s_p,
-                "is_permutation": st.is_permutation,
-                "wan_ok": st.wan_ok,
+                "p": mask.p,
+                "omega": mask.count,
+                "s_p": Fraction(mask.p, mask.count),
+                "is_permutation": mask.count == mask.p,
+                "wan_ok": wan_ok(f, mask),
             }
-            for st in stats.per_prime
+            for mask in stats.masks
         ],
     }
     return 0, result, (f"image of {args.poly} mod {m.q}: {stats.omega_q_size} elements, "

@@ -10,11 +10,11 @@ That image is held in window order, so one 8-byte load answers 56
 consecutive windows for one a.
 
 Factorization of user-supplied q is best effort (polyarith._factor: trial
-division to 10^4, then Brent's cycle finder, with Miller-Rabin primality,
-deterministic below 2^64).  Callers with adversarial moduli should pass the
-prime list explicitly.  composite_stats may spread the per-prime statistics
-over a process pool; enumerate_image builds its masks in this process,
-through the image_mask cache.
+division to 10^4, then Brent's cycle finder, with is_probable_prime deciding
+primality).  Callers with adversarial moduli should pass the prime list
+explicitly.  composite_stats returns the image masks it builds, one per
+prime, and may build them over a process pool; enumerate_image builds its
+masks in this process, through the image_mask cache.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ import numpy as np
 from .errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from .parallel import pmap
 from .polyarith import IntPoly, _factor, is_probable_prime
-from .primeimage import ImageMask, PrimeStats, image_mask, joint_count, prime_stats
+from .primeimage import ImageMask, image_mask, joint_count
 
 DEFAULT_CAP_BITS = 1 << 31
+# Enumeration refuses q at or past 2^63, whatever the cap: residues and the
+# gap table's counts are int64.
+MAX_ENUMERATION_MODULUS = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -65,25 +68,22 @@ def parse_modulus(spec) -> SquareFreeModulus:
 
 @dataclass(frozen=True)
 class CompositeStats:
-    modulus: SquareFreeModulus
+    """The image of f modulo q: its size, the mean spacing q/omega_q, the
+    reduced modulus q1 (the primes whose image is not all of F_p) and the
+    image mask at each prime of q, in the modulus's order."""
+
     omega_q_size: int
     s_q: Fraction
     q1_reduced: SquareFreeModulus
-    per_prime: tuple[PrimeStats, ...]
+    masks: tuple[ImageMask, ...]
 
 
 def composite_stats(f: IntPoly, modulus: SquareFreeModulus, workers: int = 1) -> CompositeStats:
-    stats = pmap(partial(prime_stats, f), modulus.primes, workers)
-    size = 1
-    s_q = Fraction(1)
-    kept = []
-    for st in stats:
-        size *= st.omega_size
-        s_q *= st.s_p
-        if not st.is_permutation:
-            kept.append(st.p)
-    q1 = SquareFreeModulus(tuple(kept), math.prod(kept))
-    return CompositeStats(modulus, size, s_q, q1, tuple(stats))
+    masks = tuple(pmap(partial(image_mask, f), modulus.primes, workers))
+    size = math.prod(mask.count for mask in masks)
+    kept = tuple(mask.p for mask in masks if mask.count < mask.p)
+    q1 = SquareFreeModulus(kept, math.prod(kept))
+    return CompositeStats(size, Fraction(modulus.q, size), q1, masks)
 
 
 def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> int:
@@ -186,16 +186,23 @@ def enumerate_image(f: IntPoly, modulus: SquareFreeModulus, cap_bits: int = DEFA
     one unpacked byte each, after one 8-byte load per element of the image
     mod Q_A per 56 windows, and the one object that grows with q is the
     image mod Q_B in q/Q_A packed bits.
-    Refuses moduli beyond cap_bits at the call; correlation-style statistics
-    stay available through the multiplicative path."""
+    Refuses moduli beyond cap_bits or at or past 2^63 at the call;
+    correlation-style statistics stay available through the multiplicative
+    path."""
     check_enumeration_cap(modulus.q, cap_bits)
     return _crt_windows([image_mask(f, p) for p in modulus.primes], modulus.q)
 
 
 def check_enumeration_cap(q: int, cap_bits: int) -> None:
-    """Raise ResourceCapError for q beyond cap_bits residues."""
+    """Raise ResourceCapError for q beyond cap_bits residues, and for q at or
+    past MAX_ENUMERATION_MODULUS whatever cap_bits is."""
     if q > cap_bits:
         raise ResourceCapError(
             f"q={q} exceeds the {cap_bits}-residue enumeration cap; "
             "use the multiplicative correlation workflow instead"
+        )
+    if q >= MAX_ENUMERATION_MODULUS:
+        raise ResourceCapError(
+            f"q={q} is at least 2^63: the image's residues and the int64 gap table's "
+            "counts cannot hold it; use the multiplicative correlation workflow instead"
         )

@@ -298,10 +298,67 @@ def fp_roots(g: FpPoly) -> list[int]:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least strong pseudoprime to every base of _MR_BASES (Sorenson and
+# Webster, 2017): 399165290221 * 798330580441, about 2^78.1.  Below it those
+# bases prove primality.
+_MR_PROOF_LIMIT = 318665857834031151167461
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 37 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d 2^s, n passes if U_d = 0 or V_(d 2^r) = 0
+    mod n for some r < s; U and V are walked down the bits of d."""
+    if math.isqrt(n) ** 2 == n:  # no D has (D/n) = -1
+        return False
+    d = 5
+    while (j := _jacobi(d, n)) == 1:
+        d = -d - 2 if d > 0 else -d + 2
+    if j == 0:  # n > |D| shares a factor with D
+        return False
+    q = (1 - d) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+
+    def half(x: int) -> int:
+        x %= n
+        return (x + n if x & 1 else x) >> 1
+
+    u, v, qk = 1, 1, q % n  # U_1, V_1, Q^1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = half(u + v), half(d * u + v), qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic for n < 2^64."""
+    """Miller-Rabin with the first 12 prime bases, a proof of primality below
+    _MR_PROOF_LIMIT; from there on a strong Lucas test follows (Baillie-PSW,
+    with no composite known to pass both)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -320,7 +377,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROOF_LIMIT or _strong_lucas(n)
 
 
 _TRIAL_LIMIT = 10**4

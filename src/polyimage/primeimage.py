@@ -75,15 +75,6 @@ class ImageMask:
         return self.bits >> h | (self.bits & ((1 << h) - 1)) << (self.p - h)
 
 
-@dataclass(frozen=True)
-class PrimeStats:
-    p: int
-    omega_size: int
-    s_p: Fraction
-    is_permutation: bool
-    wan_ok: bool
-
-
 def _primitive_root(p: int) -> int:
     """Least primitive root modulo an odd prime p, tested against the primes
     of p - 1 (polyarith._factor)."""
@@ -193,14 +184,11 @@ def image_mask(f: IntPoly, p: int) -> ImageMask:
     return compute_image(f, p)
 
 
-def prime_stats(f: IntPoly, p: int) -> PrimeStats:
-    mask = image_mask(f, p)
-    omega = mask.count
-    deg = max(f.degree, 1)
-    is_perm = omega == p
-    # Wan: omega <= p - (p-1)/deg, checked in integers
-    wan_ok = is_perm or deg * omega <= deg * p - (p - 1)
-    return PrimeStats(p, omega, Fraction(p, omega), is_perm, wan_ok)
+def wan_ok(f: IntPoly, mask: ImageMask) -> bool:
+    """Whether the image of f modulo mask.p is a permutation or obeys Wan's
+    bound omega <= p - (p - 1)/deg f (1993), checked in integers."""
+    p, omega, deg = mask.p, mask.count, max(f.degree, 1)
+    return omega == p or deg * omega <= deg * p - (p - 1)
 
 
 def _words(bits: int, n: int) -> np.ndarray:

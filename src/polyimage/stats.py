@@ -19,9 +19,9 @@ integers, so its bins are exact and only its edges and densities are floats.
 The correlation sum runs over the integer points of the dilated window,
 drops the points on the excluded hyperplanes (equal coordinates, zero
 coordinates), and multiplies per-prime joint counts.  A prime's counts depend
-on the point only modulo p, so each prime contributes one
-primeimage.joint_count_table over at most p residues per axis, gathered
-over the whole box in numpy.  The box's axes (primeimage.MAX_TABLE_AXES),
+on the point only modulo p, so each prime of q1 contributes one
+primeimage.joint_count_table of the mask composite_stats returned, over at
+most p residues per axis, gathered over the whole box in numpy.  The box's axes (primeimage.MAX_TABLE_AXES),
 its points (MAX_LATTICE_POINTS) and the tables' words and held rotations
 (MAX_TABLE_WORDS, MAX_TABLE_ROTATION_BYTES) are bounded before the first
 table is built.
@@ -45,7 +45,7 @@ from .composite import (
 )
 from .errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from .polyarith import IntPoly
-from .primeimage import check_table_axes, image_mask, joint_count_table, table_work
+from .primeimage import check_table_axes, joint_count_table, table_work
 
 MAX_LATTICE_POINTS = 4_000_000
 # Bounds on the per-prime joint-count tables of a correlation sum
@@ -291,8 +291,8 @@ def correlation(
     # min(len, p) points of every axis and is wrapped over the whole box.
     # No point's product exceeds omega_q, so int64 sums exactly below 2^63.
     prod = np.ones(shape, np.int64 if omega_q * total < 2**63 else object)
-    for p in used.primes:
-        table = joint_count_table(image_mask(f, p), [r[:p] for r in ranges])
+    for mask in (m for m in stats.masks if m.count < m.p):  # the primes of q1
+        table = joint_count_table(mask, [r[:mask.p] for r in ranges])
         prod *= np.pad(table, [(0, n - t) for n, t in zip(shape, table.shape)], mode="wrap")
     grids = np.ix_(*(np.arange(r.start, r.stop) for r in ranges))
     drop = np.zeros(shape, bool)

@@ -183,6 +183,34 @@ def test_spacings_cap_exit_before_any_mask(capsys, monkeypatch):
         assert code == 3 and not out and "enumeration cap" in err, argv
 
 
+# x^3 permutes F_p for each of these primes but 7: q1 = 7, and q is near 2^58.1
+_CUBE_PRIMES = "2,5,7,11,17,23,29,41,47,53,59,71,83"
+
+
+def test_spacings_refuses_q_past_int64_whatever_the_cap(capsys, monkeypatch):
+    # the gap table's counts are int64, scaled by q/q1: q >= 2^63 is refused
+    # before any mask is built, however high --cap-bits is raised
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    monkeypatch.setattr(primeimage, "compute_image", build)
+    primeimage.image_mask.cache_clear()
+    for extra in (",89", ",89,101,107,113"):
+        code, out, err = run(capsys, "spacings", "--poly", "x^3", "--primes",
+                             _CUBE_PRIMES + extra, "--cap-bits", str(10**30))
+        assert code == 3 and not out and "int64 gap table" in err, extra
+
+
+def test_spacings_below_int64_limit_repeats_the_q1_cycle(capsys):
+    code, out, _ = run(capsys, "spacings", "--poly", "x^3", "--primes",
+                       _CUBE_PRIMES, "--cap-bits", str(10**30))
+    r = json.loads(out)["result"]
+    assert code == 0 and r["q"] < 2**63 <= 89 * r["q"]
+    assert r["ks"]["n"] == r["omega_size"] == r["q"] // 7 * 3
+    _, out, _ = run(capsys, "spacings", "--poly", "x^3", "--modulus", "7")
+    assert r["ks"]["statistic"] == json.loads(out)["result"]["ks"]["statistic"]
+
+
 def test_modulus_and_primes_are_exclusive(capsys):
     extra = {"correlate": ["--window", "0:1"], "nk": ["--offsets", "1"]}
     for command in ("image", "correlate", "spacings", "nk"):
@@ -322,6 +350,16 @@ def test_proth_search_charged_before_it_starts(capsys):
     assert time.monotonic() - start < 2
     code, out, _ = run(capsys, "critical", "--poly", f"x^2+{sevens[:300]}x")
     assert code == 0 and json.loads(out)["result"]["critical_diffs_integers"] == [0]
+
+
+def test_strong_pseudoprime_is_not_a_prime(capsys):
+    # 1287836182261 * 2575672364521 passes Miller-Rabin to the bases 2..37
+    n = str(3317044064679887385961981)
+    for argv in (["critical", "--poly", "x^3+x", "--prime", n],
+                 ["critical", "--poly", "x^2", "--prime", n],
+                 ["verify", "anomaly", "--poly", "x^3", "--prime", n]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and "is not prime" in err, argv
 
 
 def test_refused_prime_costs_no_integer_set(capsys, monkeypatch):

@@ -65,6 +65,27 @@ def test_miller_rabin_agrees_with_trial_division():
         assert is_probable_prime(n) == slow(n), n
 
 
+def test_strong_pseudoprimes_past_the_miller_rabin_proof():
+    # the least strong pseudoprimes to the bases 2..37 and to 2..41 pass
+    # Miller-Rabin; the strong Lucas test refuses them
+    for n, p in ((318665857834031151167461, 399165290221),
+                 (3317044064679887385961981, 1287836182261)):
+        assert n % p == 0 and not is_probable_prime(n), n
+    for e in (89, 107, 127, 521):
+        assert is_probable_prime(2**e - 1), e
+        assert not is_probable_prime(2**e + 1), e
+
+
+def test_strong_lucas_pseudoprimes():
+    # the odd composites below 20000 that pass the strong Lucas test with
+    # Selfridge's parameters (OEIS A217255)
+    def slow(n):
+        return all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(39, 20000, 2)
+            if polyarith._strong_lucas(n) != slow(n)] == [5459, 5777, 10877, 16109, 18971]
+
+
 def test_joint_count_composite_examples():
     f = parse_poly("x^2")
     m = parse_modulus(105)
@@ -215,6 +236,20 @@ def test_s_q_is_product_of_per_prime_spacings():
         m = parse_modulus(1155)
         st = composite_stats(f, m)
         assert st.s_q == Fraction(m.q, len(elements(enumerate_image(f, m))))
+
+
+def test_composite_stats_returns_the_cached_masks():
+    f, m = parse_poly("x^3"), parse_modulus(105)
+    st = composite_stats(f, m)
+    assert all(mask is image_mask(f, p) for mask, p in zip(st.masks, m.primes, strict=True))
+    assert [mask.count for mask in st.masks] == [3, 5, 3]
+
+
+def test_enumeration_refuses_q_past_int64():
+    composite.check_enumeration_cap(2**63 - 1, 2**64)
+    for cap in (2**63, 10**30):
+        with pytest.raises(ResourceCapError, match="int64 gap table"):
+            composite.check_enumeration_cap(2**63, cap)
 
 
 def test_composite_stats_reduction_field():

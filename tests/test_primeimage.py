@@ -23,6 +23,7 @@ from polyimage.polyarith import (
     parse_poly,
 )
 from polyimage.primeimage import (
+    ImageMask,
     anomaly_scan,
     compute_image,
     expected_joint_count,
@@ -32,7 +33,7 @@ from polyimage.primeimage import (
     joint_count_table,
     max_pair_correlation,
     pair_counts,
-    prime_stats,
+    wan_ok,
 )
 
 CORPUS = [parse_poly(t) for t in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2")]
@@ -56,11 +57,11 @@ def image_bits(ts):
 def test_image_examples():
     m = compute_image(parse_poly("x"), 11)
     assert m.count == 11 and m.bits == (1 << 11) - 1
-    assert prime_stats(parse_poly("x"), 11).s_p == 1
+    assert Fraction(m.p, m.count) == 1
 
     m = compute_image(parse_poly("x^2"), 7)
     assert m.bits == image_bits([0, 1, 2, 4])
-    assert prime_stats(parse_poly("x^2"), 7).s_p == Fraction(7, 4)
+    assert Fraction(m.p, m.count) == Fraction(7, 4)
 
     m = compute_image(parse_poly("x^4-2x^2"), 5)
     assert m.bits == image_bits([0, 3, 4])
@@ -486,11 +487,19 @@ def test_wan_bound_small_primes():
     for f in CORPUS:
         deg = f.degree
         for p in primes_upto(500):
-            st = prime_stats(f, p)
-            if st.is_permutation:
+            mask = image_mask(f, p)
+            if mask.count == p:
                 continue
-            assert deg * st.omega_size <= deg * p - (p - 1), (f, p)
-            assert st.wan_ok
+            assert deg * mask.count <= deg * p - (p - 1), (f, p)
+            assert wan_ok(f, mask)
+
+
+def test_wan_bound_refuses_a_large_image():
+    # deg 2 at p = 7: omega <= 7 - 6/2 = 4 unless f permutes F_7
+    f = parse_poly("x^2")
+    assert wan_ok(f, ImageMask(7, 0b1111, 4))
+    assert not wan_ok(f, ImageMask(7, 0b11111, 5))
+    assert wan_ok(f, ImageMask(7, 0b1111111, 7))
 
 
 def test_square_image_density_exact():

@@ -114,6 +114,14 @@ def test_one_histogram_table():
     assert definitions("_histogram_rows") == []
 
 
+def test_one_record_per_prime_image():
+    # a prime's image is its ImageMask: no second record copies its count,
+    # and correlation reads the masks composite_stats returns
+    assert definitions("PrimeStats") == []
+    assert definitions("prime_stats") == []
+    assert ("stats.py", "correlation") not in package_callers("image_mask")
+
+
 def test_polynomial_methods_written_once():
     # IntPoly and FpPoly share them through one base class
     for name in ("shifted", "derivative", "degree", "is_zero", "leading"):
