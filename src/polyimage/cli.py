@@ -41,8 +41,8 @@ from .polyarith import (
     parse_poly,
     poly_to_text,
 )
-from .primeimage import (check_table_axes, expected_joint_count, image_mask, joint_count,
-                         joint_count_error, wan_ok)
+from .primeimage import (check_table_axes, expected_joint_count, joint_count, joint_count_error,
+                         wan_ok)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -142,19 +142,19 @@ def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
 
 
 def _write_out(args: argparse.Namespace, rows: list[dict], result: dict) -> None:
+    # a failed open, write or the flush at close (a full disk) exits 2 alike
     try:
-        fh = open(args.out, "w", newline="")
+        with open(args.out, "w", newline="") as fh:
+            if args.format == "json":
+                json.dump(_jsonable({"histogram": rows, "summary": result}), fh, sort_keys=True)
+            else:
+                writer = csv.DictWriter(
+                    fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
+                )
+                writer.writeheader()
+                writer.writerows(map(_jsonable, rows))
     except OSError as exc:
         raise InvalidInputError(f"cannot write --out {args.out}: {exc.strerror}") from exc
-    with fh:
-        if args.format == "json":
-            json.dump(_jsonable({"histogram": rows, "summary": result}), fh, sort_keys=True)
-        else:
-            writer = csv.DictWriter(
-                fh, fieldnames=["bin_left", "bin_right", "count", "density", "exp_reference"]
-            )
-            writer.writeheader()
-            writer.writerows(map(_jsonable, rows))
 
 
 def _require_prime(p: int) -> int:
@@ -188,14 +188,13 @@ def cmd_nk(args: argparse.Namespace) -> tuple[int, dict, str]:
     k = len(args.offsets) + 1
     total = 1
     per_prime = []
-    for p in m.primes:
-        mask = image_mask(f, p)
+    for mask in composite_stats(f, m).masks:
         count = joint_count(mask, args.offsets)
         total *= count
         per_prime.append({
-            "p": p,
+            "p": mask.p,
             "count": count,
-            "expected": expected_joint_count(p, Fraction(p, mask.count), k),
+            "expected": expected_joint_count(mask.p, Fraction(mask.p, mask.count), k),
             "error": joint_count_error(mask, count, k),
         })
     result = {"q": m.q, "k": k, "offsets": args.offsets, "joint_count": total,

@@ -12,9 +12,9 @@ consecutive windows for one a.
 Factorization of user-supplied q is best effort (polyarith._factor: trial
 division to 10^4, then Brent's cycle finder, with is_probable_prime deciding
 primality).  Callers with adversarial moduli should pass the prime list
-explicitly.  composite_stats returns the image masks it builds, one per
-prime, and may build them over a process pool; enumerate_image builds its
-masks in this process, through the image_mask cache.
+explicitly.  composite_stats builds the image masks, one per prime, and may
+build them over a process pool; joint_count_composite and enumerate_image
+take the masks their caller built and build none.
 """
 
 from __future__ import annotations
@@ -86,11 +86,11 @@ def composite_stats(f: IntPoly, modulus: SquareFreeModulus, workers: int = 1) ->
     return CompositeStats(size, Fraction(modulus.q, size), q1, masks)
 
 
-def joint_count_composite(f: IntPoly, modulus: SquareFreeModulus, offsets) -> int:
-    """Joint image count modulo q as the product of the per-prime counts,
-    each offset reduced per prime."""
+def joint_count_composite(masks, offsets) -> int:
+    """Joint image count modulo q, the product of the masks' primes: the
+    product of the per-prime counts, each offset reduced per prime."""
     offsets = list(offsets)
-    return math.prod(joint_count(image_mask(f, p), offsets) for p in modulus.primes)
+    return math.prod(joint_count(mask, offsets) for mask in masks)
 
 
 # bounds on Q_A and on the candidates a chunk tests (2^18 candidates was slower),
@@ -178,9 +178,10 @@ def _crt_windows(masks: list[ImageMask], q: int):
                 yield els
 
 
-def enumerate_image(f: IntPoly, modulus: SquareFreeModulus, cap_bits: int = DEFAULT_CAP_BITS):
-    """Sorted residues of the image of f modulo q (t with t mod p in the
-    image for every p | q), as an iterator of int64 arrays of whole windows,
+def enumerate_image(modulus: SquareFreeModulus, masks, cap_bits: int = DEFAULT_CAP_BITS):
+    """Sorted residues of the image modulo q (t with t mod p in the image
+    mask at p for every p | q), given one non-empty mask per prime of the
+    modulus in its order, as an iterator of int64 arrays of whole windows,
     about _CHUNK_CANDIDATES candidates each and at least 8 windows; empty
     ranges are skipped.  CRT windows (_crt_windows) test q/s_A candidates at
     one unpacked byte each, after one 8-byte load per element of the image
@@ -190,7 +191,7 @@ def enumerate_image(f: IntPoly, modulus: SquareFreeModulus, cap_bits: int = DEFA
     correlation-style statistics stay available through the multiplicative
     path."""
     check_enumeration_cap(modulus.q, cap_bits)
-    return _crt_windows([image_mask(f, p) for p in modulus.primes], modulus.q)
+    return _crt_windows(list(masks), modulus.q)
 
 
 def check_enumeration_cap(q: int, cap_bits: int) -> None:

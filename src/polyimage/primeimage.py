@@ -180,7 +180,11 @@ def compute_image(f: IntPoly, p: int) -> ImageMask:
 
 @lru_cache(maxsize=4096)
 def image_mask(f: IntPoly, p: int) -> ImageMask:
-    """Cached compute_image; masks are immutable and shared freely."""
+    """Cached compute_image, called by composite.composite_stats alone: every
+    other consumer takes the masks its caller built.  A command builds each
+    mask once, so the cache only serves repeated calls in one process; it
+    stays because the benchmark harness (bench/workload.py) reads its
+    cache_info() on every traced operation."""
     return compute_image(f, p)
 
 
@@ -345,18 +349,26 @@ class Anomaly:
     in_critical_diffs: bool
 
 
-def anomaly_scan(f: IntPoly, p: int, obstructions: ObstructionSet,
-                 threshold: float = 5.0) -> list[Anomaly]:
-    """All offsets h in [1, p) whose pair count strays from p/s^2 by more than
-    threshold * sqrt(p), annotated with membership in the critical-difference
-    set `obstructions` (critical_diffs_mod(f, p), computed by the caller).
-    Exact comparison; only the reported deviation column is a float."""
+def check_anomaly_scan(p: int, threshold: float) -> None:
+    """Raise InvalidInputError for p < 5 or a threshold that is not finite and
+    >= 0, then ResourceCapError for a prime past the pair-count transform cap;
+    a caller runs it before it builds the mask it scans."""
     if p < 5:
         raise InvalidInputError("anomaly scan needs p >= 5")
     if not math.isfinite(threshold) or threshold < 0:
         raise InvalidInputError(f"threshold must be finite and >= 0, got {threshold}")
     _pair_transform_length(p)
-    mask = image_mask(f, p)
+
+
+def anomaly_scan(mask: ImageMask, obstructions: ObstructionSet,
+                 threshold: float = 5.0) -> list[Anomaly]:
+    """All offsets h in [1, p) whose pair count in the image mask strays from
+    p/s^2 by more than threshold * sqrt(p), annotated with membership in the
+    critical-difference set `obstructions` (critical_diffs_mod(f, p),
+    computed by the caller).  Exact comparison; only the reported deviation
+    column is a float."""
+    p = mask.p
+    check_anomaly_scan(p, threshold)
     w2 = mask.count * mask.count
     # |count - omega^2/p| > c*sqrt(p)  <=>  d^2 > c^2 * p^3 with the integer
     # d = p*count - omega^2  <=>  |d| > isqrt(floor(c^2 * p^3)).  |d| <= p^2,
@@ -371,14 +383,14 @@ def anomaly_scan(f: IntPoly, p: int, obstructions: ObstructionSet,
             for h, n in zip(flagged.tolist(), counts[flagged].tolist())]
 
 
-def max_pair_correlation(f: IntPoly, primes) -> Fraction:
-    """Largest pair count ratio count/omega over sampled non-permutation
-    primes and nonzero offsets; an empirical floor for the constant that
-    separates overlapping-translate pair counts from the trivial bound."""
+def max_pair_correlation(masks) -> Fraction:
+    """Largest pair count ratio count/omega over the image masks of sampled
+    non-permutation primes and nonzero offsets; an empirical floor for the
+    constant that separates overlapping-translate pair counts from the
+    trivial bound."""
     best = None
-    for p in primes:
-        mask = image_mask(f, p)
-        if mask.count == p:
+    for mask in masks:
+        if mask.count == mask.p:
             continue
         r = Fraction(int(pair_counts(mask)[1:].max()), mask.count)
         if best is None or r > best:

@@ -7,8 +7,9 @@ statistic reads one gap table -- the count of each gap value and the lag-1
 sum of products of neighbouring gaps.  A permutation prime (omega_p = p)
 only repeats the cycle of gaps, so the table is filled in one pass over the
 image modulo the reduced modulus q1, as composite.enumerate_image streams it
-in chunks of whole windows from the cached masks, and its counts and lag-1
-sum are then scaled by q/q1; the cap on enumeration still bounds q itself.
+in chunks of whole windows from the masks of q1 that composite_stats built,
+and its counts and lag-1 sum are then scaled by q/q1; the cap on enumeration
+still bounds q itself.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
 q1/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
@@ -89,7 +90,8 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
     before any mask is built, degenerate moduli where the mean spacing is 1
     (nothing to normalize), and images of fewer than two elements."""
     check_enumeration_cap(modulus.q, cap_bits)
-    reduced = composite_stats(f, modulus).q1_reduced
+    stats = composite_stats(f, modulus)
+    reduced = stats.q1_reduced
     if reduced.q == 1:  # every prime a permutation prime: s_q = 1
         raise DegenerateInputError("degenerate: mean spacing 1")
     copies = modulus.q // reduced.q
@@ -105,7 +107,8 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
 
     count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
     first = last = head = None
-    for els in enumerate_image(f, reduced, cap_bits=cap_bits):
+    q1_masks = [mask for mask in stats.masks if mask.count < mask.p]
+    for els in enumerate_image(reduced, q1_masks, cap_bits=cap_bits):
         count += len(els)
         gaps = np.empty(len(els), np.int64)
         np.subtract(els[1:], els[:-1], out=gaps[1:])

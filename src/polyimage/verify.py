@@ -29,8 +29,8 @@ from .errors import DegenerateInputError
 from .oracle import brute_image, brute_joint_count
 from .parallel import pmap
 from .polyarith import IntPoly, critical_diffs_mod, is_probable_prime, parse_poly
-from .primeimage import (anomaly_scan, image_mask, joint_count, joint_count_table,
-                         max_pair_correlation, pair_counts, wan_ok)
+from .primeimage import (ImageMask, anomaly_scan, check_anomaly_scan, compute_image, joint_count,
+                         joint_count_table, max_pair_correlation, pair_counts, wan_ok)
 from .stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -112,8 +112,9 @@ def check_square_count() -> CheckResult:
         expected = 1
         for p in m.primes:
             expected *= (p + 1) // 2
-        count = sum(len(chunk) for chunk in enumerate_image(f, m))
-        product = composite_stats(f, m).omega_q_size
+        stats = composite_stats(f, m)
+        count = sum(len(chunk) for chunk in enumerate_image(m, stats.masks))
+        product = stats.omega_q_size
         details[f"q{qv}"] = f"{count} (expect {expected})"
         ok = ok and count == expected == product
     return CheckResult("square-count", ok, details)
@@ -125,12 +126,13 @@ def check_crt_multiplicativity(seed: int = 0) -> CheckResult:
     mismatches = 0
     for text in ("x^2", "x^3+x", "x^4-2x^2"):
         f = parse_poly(text)
+        masks = [compute_image(f, p) for p in m.primes]
         for h in range(105):
-            if joint_count_composite(f, m, [h]) != brute_joint_count(f, 105, [h]):
+            if joint_count_composite(masks, [h]) != brute_joint_count(f, 105, [h]):
                 mismatches += 1
         for _ in range(500):
             hs = [rng.randrange(105), rng.randrange(105)]
-            if joint_count_composite(f, m, hs) != brute_joint_count(f, 105, hs):
+            if joint_count_composite(masks, hs) != brute_joint_count(f, 105, hs):
                 mismatches += 1
     return CheckResult(
         "crt-multiplicativity",
@@ -144,7 +146,7 @@ def check_zero_average() -> CheckResult:
     checked = 0
     for entry in CORPUS:
         for p in primes_upto(300):
-            mask = image_mask(entry.poly, p)
+            mask = compute_image(entry.poly, p)
             w = mask.count
             s2 = int(joint_count_table(mask, [range(p)]).sum())
             s3 = int(joint_count_table(mask, [range(p), range(p)]).sum())
@@ -160,7 +162,7 @@ def check_wan_bound() -> CheckResult:
     checked = 0
     for entry in CORPUS:
         for p in primes_upto(10**4):
-            mask = image_mask(entry.poly, p)
+            mask = compute_image(entry.poly, p)
             if mask.count == p:
                 continue
             checked += 1
@@ -170,13 +172,13 @@ def check_wan_bound() -> CheckResult:
                        {"checked": checked, "violations": violations})
 
 
-def _quartic_ratio(p: int, h: int) -> tuple[Fraction, Fraction, bool]:
-    """For QUARTIC at the prime p: the pair-count ratio p * N_2(h, p) / omega^2,
-    the constant it tends to (at h = 1, 2/3 for p = 1 mod 4 and 4/3 for
-    p = 3 mod 4; 1 at an offset outside the obstruction set {0, 1, p - 1}),
-    and whether |ratio - constant| <= RATIO_DEV_CONST / sqrt(p), compared
-    squared and exact."""
-    mask = image_mask(QUARTIC, p)
+def _quartic_ratio(mask: ImageMask, h: int) -> tuple[Fraction, Fraction, bool]:
+    """For QUARTIC's image mask at the prime p: the pair-count ratio
+    p * N_2(h, p) / omega^2, the constant it tends to (at h = 1, 2/3 for
+    p = 1 mod 4 and 4/3 for p = 3 mod 4; 1 at an offset outside the
+    obstruction set {0, 1, p - 1}), and whether |ratio - constant| <=
+    RATIO_DEV_CONST / sqrt(p), compared squared and exact."""
+    p = mask.p
     ratio = Fraction(p * joint_count(mask, [h]), mask.count**2)
     const = Fraction(1) if h != 1 else Fraction(2, 3) if p % 4 == 1 else Fraction(4, 3)
     dev = ratio - const
@@ -191,11 +193,12 @@ def check_anomaly_constants(seed: int = 0) -> CheckResult:
     failures = 0
     for residue in (1, 3):
         for p in rng.sample([p for p in ps if 10**4 <= p and p % 4 == residue], 20):
-            ratio, const, ok = _quartic_ratio(p, 1)
+            mask = compute_image(QUARTIC, p)
+            ratio, const, ok = _quartic_ratio(mask, 1)
             failures += not ok
             worst_anom = max(worst_anom, abs(float(ratio - const)) * math.sqrt(p))
             for h in rng.sample(range(2, p - 1), 50):
-                ratio, const, ok = _quartic_ratio(p, h)
+                ratio, const, ok = _quartic_ratio(mask, h)
                 failures += not ok
                 worst_generic = max(worst_generic, abs(float(ratio - const)) * math.sqrt(p))
     return CheckResult(
@@ -216,7 +219,7 @@ def check_anomaly_localization() -> CheckResult:
     flagged_total = 0
     for p in primes_from(10**4, 10):
         obs = critical_diffs_mod(QUARTIC, p)
-        scan = anomaly_scan(QUARTIC, p, obs, threshold=ANOMALY_THRESHOLD)
+        scan = anomaly_scan(compute_image(QUARTIC, p), obs, threshold=ANOMALY_THRESHOLD)
         flagged_total += len(scan)
         outside += sum(1 for a in scan if not a.in_critical_diffs)
         if len(obs.elements) - 1 != 2:
@@ -276,7 +279,7 @@ def _eps_mass_prime(f: IntPoly, p: int) -> tuple[int, int, int]:
     """(p, sum_h |p*count - omega^2|, omega^2); the epsilon-mass numerator.
     Needs p < 2^21: the int64 sum holds p terms, each at most p^2."""
     assert p < 1 << 21, p
-    mask = image_mask(f, p)
+    mask = compute_image(f, p)
     w = mask.count
     w2 = w * w
     if w == p:
@@ -334,7 +337,7 @@ def check_c0_bound() -> CheckResult:
     ok = True
     for entry in CORPUS:
         try:
-            c0 = max_pair_correlation(entry.poly, sample)
+            c0 = max_pair_correlation(compute_image(entry.poly, p) for p in sample)
         except DegenerateInputError:
             continue
         details[entry.name] = f"{c0} ~ {float(c0):.4f}"
@@ -365,9 +368,12 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
 
     Flags offsets, checks they sit in the critical-difference set, and for the
     quartic testbed also measures the pair-count ratio at offset 1 against its
-    residue-class constant."""
+    residue-class constant.  The scan's refusals come before the mask is
+    built."""
     obs = critical_diffs_mod(f, p)
-    scan = anomaly_scan(f, p, obs, threshold=threshold)
+    check_anomaly_scan(p, threshold)
+    mask = compute_image(f, p)
+    scan = anomaly_scan(mask, obs, threshold=threshold)
     details: dict = {
         "p": p,
         "flagged": [a.h for a in scan],
@@ -375,7 +381,7 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
     }
     ok = all(a.in_critical_diffs for a in scan)
     if f == QUARTIC:
-        ratio, const, ratio_ok = _quartic_ratio(p, 1)
+        ratio, const, ratio_ok = _quartic_ratio(mask, 1)
         details["residue_class"] = p % 4
         details["ratio_at_offset_1"] = float(ratio)
         details["class_constant"] = str(const)

@@ -169,6 +169,16 @@ def test_spacings_unwritable_out_is_invalid_input(capsys, tmp_path):
     assert err.startswith(f"error: cannot write --out {out_path}")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_spacings_out_to_a_full_device_is_invalid_input(capsys):
+    # the open succeeds; the flush at close fails with ENOSPC
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "spacings", "--poly", "x^2", "--modulus", "105",
+                             "--out", "/dev/full", "--format", fmt)
+        assert code == 2 and not out, fmt
+        assert err.startswith("error: cannot write --out /dev/full: No space left"), (fmt, err)
+
+
 def test_spacings_cap_exit_before_any_mask(capsys, monkeypatch):
     def build(f, p):
         raise AssertionError(f"mask built at p={p}")
@@ -284,15 +294,50 @@ def test_unread_flags_are_rejected(capsys, tmp_path):
 
 def test_bench_command_lines_parse():
     # every command line the benchmark runs must stay accepted by the parser
-    path = Path(__file__).resolve().parents[1] / "bench" / "ops.py"
-    spec = importlib.util.spec_from_file_location("_bench_ops", path)
-    ops = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ops)
+    ops = _bench_ops()
     parser = cli.build_parser()
     for workload in ops.WORKLOADS:
         for op in ops.build(workload, 0):
             args = parser.parse_args(op["argv"])
             assert args.command == op["argv"][0] and args.workers == 1
+
+
+def _bench_ops():
+    path = Path(__file__).resolve().parents[1] / "bench" / "ops.py"
+    spec = importlib.util.spec_from_file_location("_bench_ops", path)
+    ops = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ops)
+    return ops
+
+
+def _patch_compute_image(monkeypatch, build):
+    # every module that binds compute_image by name, primeimage among them
+    original = primeimage.compute_image
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyimage") and getattr(module, "compute_image", None) is original:
+            monkeypatch.setattr(module, "compute_image", build)
+
+
+def test_no_command_fetches_a_mask_twice(capsys, monkeypatch):
+    # a command builds each (f, p) once and passes the mask on: no second
+    # build and no image_mask cache hit, for every benchmark command line
+    ops = _bench_ops()
+    built = []
+    compute_image = primeimage.compute_image
+
+    def spy(f, p):
+        built.append((f, p))
+        return compute_image(f, p)
+
+    _patch_compute_image(monkeypatch, spy)
+    lines = [op["argv"] for w in ops.WORKLOADS for op in ops.build(w, 1601)]
+    for argv in lines + [["verify", "anomaly"], ["verify", "multiplicativity"]]:
+        built.clear()
+        primeimage.image_mask.cache_clear()
+        code, _, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert primeimage.image_mask.cache_info().hits == 0, argv
+        assert len(built) == len(set(built)), argv
 
 
 def test_critical_command(capsys):
@@ -632,6 +677,24 @@ def test_reports_byte_identical_across_workers(capsys):
     assert r1 == r2
     # spot-check the raw result payloads byte for byte
     assert out1.split('"result"')[1] == out2.split('"result"')[1]
+
+
+def test_verify_anomaly_refuses_before_the_mask(capsys, monkeypatch):
+    # p < 5, a threshold that is not finite and >= 0, and a prime past the
+    # pair-count transform are refused before the report builds its mask
+    def build(f, p):
+        raise AssertionError(f"mask built at p={p}")
+
+    _patch_compute_image(monkeypatch, build)
+    for prime, threshold, want in (("3", "5", "error: anomaly scan needs p >= 5"),
+                                   ("10007", "nan", "error: threshold must be finite"),
+                                   ("10007", "-1", "error: threshold must be finite"),
+                                   ("10007", "inf", "error: threshold must be finite"),
+                                   ("8388617", "5", "resource cap: pair counts at p=8388617")):
+        code, out, err = run(capsys, "verify", "anomaly", "--poly", "x^2", "--prime", prime,
+                             f"--threshold={threshold}")
+        assert code == (3 if want.startswith("resource") else 2) and not out, prime
+        assert err.startswith(want), (prime, threshold, err)
 
 
 def test_verify_anomaly_rejects_bad_threshold(capsys):

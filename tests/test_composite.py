@@ -17,13 +17,23 @@ from polyimage.composite import (
 from polyimage.errors import InvalidInputError, NotSquareFreeError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
 from polyimage.polyarith import parse_poly
-from polyimage.primeimage import image_mask
+from polyimage.primeimage import ImageMask, compute_image, image_mask, joint_count
 
 CORPUS = [parse_poly(t) for t in ("x^2", "x^3", "x^3+x", "x^3-3x", "x^4-2x^2")]
 
 
 def elements(chunks):
     return [int(t) for chunk in chunks for t in chunk]
+
+
+def masks_of(f, m):
+    """The image mask of f at each prime of the modulus, in its order."""
+    return [compute_image(f, p) for p in m.primes]
+
+
+def image(f, m, **kwargs):
+    """enumerate_image over the masks of f modulo m."""
+    return enumerate_image(m, masks_of(f, m), **kwargs)
 
 
 def test_parse_modulus_examples():
@@ -89,28 +99,30 @@ def test_strong_lucas_pseudoprimes():
 def test_joint_count_composite_examples():
     f = parse_poly("x^2")
     m = parse_modulus(105)
-    assert joint_count_composite(f, m, [1]) == 4
-    assert joint_count_composite(f, m, [0]) == 24
-    m7 = parse_modulus(7)
-    from polyimage.primeimage import image_mask, joint_count
-    assert joint_count_composite(f, m7, [1]) == joint_count(image_mask(f, 7), [1])
+    masks = masks_of(f, m)
+    assert joint_count_composite(masks, [1]) == 4
+    assert joint_count_composite(masks, [0]) == 24
+    mask7 = compute_image(f, 7)
+    assert joint_count_composite([mask7], [1]) == joint_count(mask7, [1])
 
 
 def test_joint_count_composite_negative_offsets_reduce():
     f = parse_poly("x^2")
     m = parse_modulus(105)
-    assert joint_count_composite(f, m, [-104]) == joint_count_composite(f, m, [1])
+    masks = masks_of(f, m)
+    assert joint_count_composite(masks, [-104]) == joint_count_composite(masks, [1])
 
 
 def test_multiplicativity_matches_oracle():
     rng = random.Random(41)
     m = parse_modulus(105)
     for f in CORPUS:
+        masks = masks_of(f, m)
         for h in range(0, 105, 7):
-            assert joint_count_composite(f, m, [h]) == brute_joint_count(f, 105, [h])
+            assert joint_count_composite(masks, [h]) == brute_joint_count(f, 105, [h])
         for _ in range(20):
             hs = [rng.randrange(105), rng.randrange(105)]
-            assert joint_count_composite(f, m, hs) == brute_joint_count(f, 105, hs)
+            assert joint_count_composite(masks, hs) == brute_joint_count(f, 105, hs)
 
 
 def test_reduce_examples():
@@ -122,13 +134,13 @@ def test_reduce_examples():
 
 def test_enumerate_image_examples():
     f = parse_poly("x^2")
-    assert len(elements(enumerate_image(f, parse_modulus(105)))) == 24
-    assert elements(enumerate_image(parse_poly("x"), parse_modulus(15))) == list(range(15))
+    assert len(elements(image(f, parse_modulus(105)))) == 24
+    assert elements(image(parse_poly("x"), parse_modulus(15))) == list(range(15))
 
 
 def test_enumerate_eight_prime_modulus():
     m = parse_modulus([3, 5, 7, 11, 13, 17, 19, 23])
-    count = sum(len(c) for c in enumerate_image(parse_poly("x^2"), m))
+    count = sum(len(c) for c in image(parse_poly("x^2"), m))
     expected = 1
     for p in m.primes:
         expected *= (p + 1) // 2
@@ -138,7 +150,7 @@ def test_enumerate_eight_prime_modulus():
 def test_enumerate_cap():
     # refused at the call, before any chunk is asked for
     with pytest.raises(ResourceCapError, match="q=105 exceeds the 64-residue enumeration cap"):
-        enumerate_image(parse_poly("x^2"), parse_modulus(105), cap_bits=64)
+        image(parse_poly("x^2"), parse_modulus(105), cap_bits=64)
 
 
 @pytest.mark.parametrize("chunk_candidates", [None, 1, 3])
@@ -154,20 +166,37 @@ def test_enumerate_matches_oracle_bit_for_bit(chunk_candidates):
             for f in CORPUS:
                 for qv in (15, 21, 30, 105, 770, 1155):
                     want = brute_image(f, qv)
-                    got = elements(enumerate_image(f, parse_modulus(qv)))
+                    got = elements(image(f, parse_modulus(qv)))
                     assert got == want, (f, qv, a_residues)
+
+
+def test_enumerate_image_over_hand_built_masks():
+    # enumerate_image reads only the masks it is given: seeded random subsets
+    # of F_p, the image of no polynomial, give the brute CRT product of the sets
+    rng = random.Random(26)
+    for primes in ([2, 3, 5, 7, 11], [3, 7, 11, 13], [97, 101], [2, 4999], [9973]):
+        m = parse_modulus(primes)
+        for _ in range(3):
+            sets = {p: set(rng.sample(range(p), rng.randint(1, p))) for p in primes}
+            masks = [ImageMask(p, sum(1 << t for t in sets[p]), len(sets[p])) for p in primes]
+            want = [t for t in range(m.q) if all(t % p in sets[p] for p in primes)]
+            for a_residues, chunk in ((None, None), (1, 3), (30, 7)):
+                with pytest.MonkeyPatch.context() as mp:
+                    if a_residues is not None:
+                        mp.setattr(composite, "_A_RESIDUES", a_residues)
+                        mp.setattr(composite, "_CHUNK_CANDIDATES", chunk)
+                    assert elements(enumerate_image(m, masks)) == want, (primes, a_residues)
 
 
 def test_enumerate_holds_nothing_of_length_q():
     f = parse_poly("x^2")
     m = parse_modulus(9699690)  # 2 * 3 * ... * 19
-    for p in m.primes:
-        image_mask(f, p)
+    masks = masks_of(f, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composite, "_CHUNK_CANDIDATES", 4096)
         tracemalloc.start()
         try:
-            count = sum(len(c) for c in enumerate_image(f, m))
+            count = sum(len(c) for c in enumerate_image(m, masks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -179,12 +208,12 @@ def test_enumerate_prime_holds_its_image_packed():
     # Q_A = 1: the table of the image mod q is q bits, not q bytes
     f = parse_poly("x^2")
     m = parse_modulus(1000003)
-    image_mask(f, m.q)
+    masks = masks_of(f, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
         tracemalloc.start()
         try:
-            count = sum(len(c) for c in enumerate_image(f, m))
+            count = sum(len(c) for c in enumerate_image(m, masks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -197,13 +226,12 @@ def test_enumerate_scaled_table_holds_it_packed():
     # 3*k mod p, built a block at a time, never a byte per residue
     f = parse_poly("x^2")
     m = parse_modulus([3, 1000003])
-    for p in m.primes:
-        image_mask(f, p)
+    masks = masks_of(f, m)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
         tracemalloc.start()
         try:
-            count = sum(len(c) for c in enumerate_image(f, m))
+            count = sum(len(c) for c in enumerate_image(m, masks))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -214,7 +242,7 @@ def test_enumerate_scaled_table_holds_it_packed():
 def test_enumerate_scaled_table_matches_oracle():
     f = parse_poly("x^3+x+1")
     m = parse_modulus([3, 100003])
-    assert elements(enumerate_image(f, m)) == brute_image(f, m.q)
+    assert elements(image(f, m)) == brute_image(f, m.q)
 
 
 def test_packed_image_of_no_primes_is_residue_zero():
@@ -228,14 +256,14 @@ def test_enumerate_popcount_is_product():
         for qv in (15, 105, 1155, 15015):
             m = parse_modulus(qv)
             st = composite_stats(f, m)
-            assert len(elements(enumerate_image(f, m))) == st.omega_q_size
+            assert len(elements(enumerate_image(m, st.masks))) == st.omega_q_size
 
 
 def test_s_q_is_product_of_per_prime_spacings():
     for f in CORPUS:
         m = parse_modulus(1155)
         st = composite_stats(f, m)
-        assert st.s_q == Fraction(m.q, len(elements(enumerate_image(f, m))))
+        assert st.s_q == Fraction(m.q, len(elements(enumerate_image(m, st.masks))))
 
 
 def test_composite_stats_returns_the_cached_masks():

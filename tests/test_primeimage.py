@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyimage import polyarith, primeimage
+from polyimage import polyarith, primeimage, verify
 from polyimage.composite import joint_count_composite, parse_modulus
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, brute_joint_count
@@ -352,14 +352,16 @@ def test_expected_joint_count():
 
 def test_anomaly_scan_examples():
     square = parse_poly("x^2")
-    assert anomaly_scan(square, 101, critical_diffs_mod(square, 101), threshold=5.0) == []
+    assert anomaly_scan(compute_image(square, 101), critical_diffs_mod(square, 101),
+                        threshold=5.0) == []
     # x has no critical values, hence an empty obstruction set
-    assert anomaly_scan(parse_poly("x"), 101, ObstructionSet(101, ()),
+    assert anomaly_scan(compute_image(parse_poly("x"), 101), ObstructionSet(101, ()),
                         threshold=5.0) == []
     # at p=13 the +/-1 offsets of the quartic are flagged once the threshold
     # drops below their deviation, and they land in the obstruction set
     quartic = parse_poly("x^4-2x^2")
-    scan = anomaly_scan(quartic, 13, critical_diffs_mod(quartic, 13), threshold=0.05)
+    scan = anomaly_scan(compute_image(quartic, 13), critical_diffs_mod(quartic, 13),
+                        threshold=0.05)
     flagged = {a.h for a in scan}
     assert {1, 12} <= flagged
     by_h = {a.h: a for a in scan}
@@ -369,12 +371,12 @@ def test_anomaly_scan_examples():
 def test_anomaly_scan_input_checks():
     f = parse_poly("x^2")
     with pytest.raises(InvalidInputError):
-        anomaly_scan(f, 3, critical_diffs_mod(f, 3))
+        anomaly_scan(compute_image(f, 3), critical_diffs_mod(f, 3))
 
 
-def _anomaly_scan_python_ints(f, p, obstructions, threshold):
+def _anomaly_scan_python_ints(mask, obstructions, threshold):
     """The anomaly scan as one exact Python-int comparison per shift."""
-    mask = image_mask(f, p)
+    p = mask.p
     w2 = mask.count**2
     rhs = Fraction(threshold) ** 2 * p**3
     out = []
@@ -391,10 +393,10 @@ def test_anomaly_scan_matches_python_int_loop():
         for p in primes_upto(300):
             if p < 5:
                 continue
-            obs = critical_diffs_mod(f, p)
+            obs, mask = critical_diffs_mod(f, p), compute_image(f, p)
             for threshold in (0, 0.05, 0.5, 1.2247, 5):
-                assert anomaly_scan(f, p, obs, threshold) == \
-                    _anomaly_scan_python_ints(f, p, obs, threshold), (f, p, threshold)
+                assert anomaly_scan(mask, obs, threshold) == \
+                    _anomaly_scan_python_ints(mask, obs, threshold), (f, p, threshold)
 
 
 def _shift_all(raw):
@@ -464,23 +466,29 @@ def _no_mask(f, p):
 
 
 def test_pair_counts_cap_before_mask(monkeypatch):
+    # the scan's checks read p alone: the single-prime report runs them
+    # before it builds the mask it scans
     p = 8388617  # the first prime above 2^23
-    monkeypatch.setattr(primeimage, "image_mask", _no_mask)
+    monkeypatch.setattr(verify, "compute_image", _no_mask)
     f = parse_poly("x^2")
     with pytest.raises(ResourceCapError, match=f"p={p}.*bytes"):
-        anomaly_scan(f, p, ObstructionSet(p, ()))
+        verify.anomaly_report(f, p)
+    with pytest.raises(ResourceCapError, match=f"p={p}.*bytes"):
+        anomaly_scan(primeimage.ImageMask(p, 1, 1), ObstructionSet(p, ()))
     with pytest.raises(ResourceCapError, match=f"p={p}"):
         pair_counts(primeimage.ImageMask(p, 1, 1))
     assert primeimage._pair_transform_length(8388593) == primeimage.MAX_PAIR_TRANSFORM
 
 
 def test_max_pair_correlation_examples():
-    assert max_pair_correlation(parse_poly("x^2"), [101, 103]) < 1
+    def masks(text, primes):
+        return [compute_image(parse_poly(text), p) for p in primes]
+
+    assert max_pair_correlation(masks("x^2", [101, 103])) < 1
     with pytest.raises(DegenerateInputError):
-        max_pair_correlation(parse_poly("x"), [101, 103])
-    quartic = parse_poly("x^4-2x^2")
+        max_pair_correlation(masks("x", [101, 103]))
     sample = [p for p in primes_upto(200) if p % 4 == 3 and p > 4]
-    assert max_pair_correlation(quartic, sample) < 1
+    assert max_pair_correlation(masks("x^4-2x^2", sample)) < 1
 
 
 def test_wan_bound_small_primes():
@@ -544,5 +552,5 @@ def test_counts_match_oracle(coeffs, p, offsets, q):
     assert sum(counts) == mask.count**2
     assert all(counts[h] == counts[p - h] for h in range(1, p))
     assert joint_count(mask, offsets) == brute_joint_count(f, p, offsets)
-    m = parse_modulus(q)
-    assert joint_count_composite(f, m, offsets) == brute_joint_count(f, q, offsets)
+    masks = [compute_image(f, r) for r in parse_modulus(q).primes]
+    assert joint_count_composite(masks, offsets) == brute_joint_count(f, q, offsets)

@@ -122,6 +122,26 @@ def test_one_record_per_prime_image():
     assert ("stats.py", "correlation") not in package_callers("image_mask")
 
 
+def package_readers(name: str) -> set[tuple[str, str]]:
+    """(module, function or class) for each module-level definition whose
+    body reads `name` or `.name`, called or passed on."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
+                    (isinstance(n, ast.Name) and n.id == name)
+                    or (isinstance(n, ast.Attribute) and n.attr == name)
+                    for n in ast.walk(node)):
+                out.add((path.name, node.name))
+    return out
+
+
+def test_masks_flow_as_values():
+    # composite_stats builds a command's masks through the image_mask cache;
+    # every other consumer takes the masks its caller built
+    assert package_readers("image_mask") == {("composite.py", "composite_stats")}
+
+
 def test_polynomial_methods_written_once():
     # IntPoly and FpPoly share them through one base class
     for name in ("shifted", "derivative", "degree", "is_zero", "leading"):

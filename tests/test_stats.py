@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyimage import composite, primeimage, stats
-from polyimage.composite import enumerate_image, joint_count_composite, parse_modulus
+from polyimage.composite import (composite_stats, enumerate_image, joint_count_composite,
+                                 parse_modulus)
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, ks_statistic_exponential
 from polyimage.polyarith import IntPoly, parse_poly
@@ -158,22 +159,22 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
 def test_gap_table_reads_the_image_mod_q1(poly, q):
     # the table read from the image mod q1 equals the one from every residue of q
     f, m = parse_poly(poly), parse_modulus(q)
-    els = [int(t) for chunk in enumerate_image(f, m) for t in chunk]
+    els = [int(t) for chunk in enumerate_image(m, composite_stats(f, m).masks) for t in chunk]
     n = len(els)
     gaps = [b - a for a, b in zip(els, els[1:])] + [els[0] + q - els[-1]]
     calls = []
 
-    def spy(f, modulus, **kwargs):
-        calls.append([modulus, 0])
-        for chunk in enumerate_image(f, modulus, **kwargs):
-            calls[-1][1] += len(chunk)
+    def spy(modulus, masks, **kwargs):
+        calls.append([modulus, [mask.p for mask in masks], 0])
+        for chunk in enumerate_image(modulus, masks, **kwargs):
+            calls[-1][2] += len(chunk)
             yield chunk
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "enumerate_image", spy)
         s = spacing_series(f, m)
-    q1 = composite.composite_stats(f, m).q1_reduced
-    assert q1.q < q and calls == [[q1, n * q1.q // q]]
+    q1 = composite_stats(f, m).q1_reduced
+    assert q1.q < q and calls == [[q1, list(q1.primes), n * q1.q // q]]
     assert s.modulus == m and s.element_count == n
     assert list(s.gap_values) == sorted(set(gaps))
     assert list(s.gap_counts) == [gaps.count(v) for v in sorted(set(gaps))]
@@ -195,7 +196,7 @@ def test_gap_table_memory_is_bounded_across_chunks():
     # peaked at 4.6 MB here)
     f = parse_poly("x^2")
     m = parse_modulus(81001)
-    image_mask(f, m.q)
+    built = composite_stats(f, m)
     chunks = []
 
     def counted(*args, **kwargs):
@@ -207,6 +208,7 @@ def test_gap_table_memory_is_bounded_across_chunks():
         mp.setattr(composite, "_CHUNK_CANDIDATES", 8)
         mp.setattr(composite, "_A_RESIDUES", 1)
         mp.setattr(stats, "enumerate_image", counted)
+        mp.setattr(stats, "composite_stats", lambda f, modulus: built)
         tracemalloc.start()
         try:
             s = spacing_series(f, m)
@@ -291,7 +293,8 @@ def test_correlation_matches_direct_double_loop():
     f = parse_poly("x^2")
     for qv in (1155, 15015):
         m = parse_modulus(qv)
-        els = [int(t) for chunk in enumerate_image(f, m) for t in chunk]
+        els = [int(t) for chunk in enumerate_image(m, composite_stats(f, m).masks)
+               for t in chunk]
         bits = sum(1 << t for t in els)
         q = m.q
         full = (1 << q) - 1
@@ -383,7 +386,8 @@ def test_correlation_python_int_path():
     f = parse_poly("x^2")
     big = parse_modulus([p for p in range(3, 200) if all(p % d for d in range(2, p))])
     for m, k, half in ((big, 2, 1000), (big, 3, 20), (parse_modulus(105), 3, 30)):
-        omega = joint_count_composite(f, m, [])
+        masks = composite_stats(f, m).masks
+        omega = joint_count_composite(masks, [])
         s_q = Fraction(m.q, omega)
         if m is big:
             assert omega > 2**63
@@ -392,7 +396,7 @@ def test_correlation_python_int_path():
         box = itertools.product(range(-half, half + 1), repeat=k - 1)
         admissible = [hs for hs in box if 0 not in hs and len(set(hs)) == len(hs)]
         assert r.lattice_points == len(admissible)
-        assert r.value * omega == sum(joint_count_composite(f, m, hs) for hs in admissible)
+        assert r.value * omega == sum(joint_count_composite(masks, hs) for hs in admissible)
 
 
 def test_correlation_memory_follows_the_box_not_the_prime():
