@@ -3,11 +3,12 @@
 A modulus is an ordered tuple of distinct primes with their product q.  Sizes
 and joint counts over q are products of the per-prime values, so they never
 require touching all q residues.  Spacing statistics read the image itself,
-streamed in sorted chunks under a configurable cap on q, by CRT windows: a
-window of Q_A residues (Q_A <= 2^18, the smallest primes) keeps the a in the
-image mod Q_A whose bit is set in the packed q/Q_A-bit image mod the rest.
-That image is held in window order, so one 8-byte load answers 56
-consecutive windows for one a.
+or one arc [lo, hi] of it, streamed in sorted chunks under a configurable
+cap on q, by CRT windows: a window of Q_A residues (Q_A <= 2^18, the
+smallest primes) keeps the a in the image mod Q_A whose bit is set in the
+packed q/Q_A-bit image mod the rest.  That image is held in window order, so
+one 8-byte load answers 56 consecutive windows for one a; an arc reads the
+windows it meets, and the image mod the rest is built whole all the same.
 
 Factorization of user-supplied q is best effort (polyarith._factor: trial
 division to 10^4, then Brent's cycle finder, with is_probable_prime deciding
@@ -132,15 +133,18 @@ def _packed_image(masks: list[ImageMask], scale: int, length: int) -> bytes:
     return acc.to_bytes((length + 7) // 8 + 8, "little")
 
 
-def _crt_windows(masks: list[ImageMask], q: int):
-    """The image in windows [k*Q_A, (k+1)*Q_A), A the longest prefix of the
-    ascending primes with Q_A <= _A_RESIDUES and B the rest.  The image mod
-    Q_B is held in window order T (bit k set iff Q_A*k mod Q_B is in it), so
-    k*Q_A + a, a in the image mod Q_A, is in the image iff bit (k + a*u) mod
-    Q_B of T is set, u = Q_A^-1 mod Q_B: one unaligned 8-byte load gives a's
-    bits for 56 consecutive windows; T runs on cyclically 64 bits past Q_B,
-    so no load wraps (for Q_A = 1 none needs to, and T stops at Q_B).  A load
-    covers 56*blocks windows, a chunk 8*rows windows and under 2^31 residues."""
+def _crt_windows(masks: list[ImageMask], q: int, lo: int, hi: int):
+    """The image in [lo, hi], read in windows [k*Q_A, (k+1)*Q_A) from
+    k = lo // Q_A to hi // Q_A, the first and last chunk trimmed to the range;
+    A is the longest prefix of the ascending primes with Q_A <= _A_RESIDUES
+    and B the rest.  The image mod Q_B is held in window order T (bit k set
+    iff Q_A*k mod Q_B is in it), so k*Q_A + a, a in the image mod Q_A, is in
+    the image iff bit (k + a*u) mod Q_B of T is set, u = Q_A^-1 mod Q_B: one
+    unaligned 8-byte load gives a's bits for 56 consecutive windows; T runs
+    on cyclically 64 bits past Q_B, so no load wraps (for Q_A = 1 none needs
+    to, and T stops at Q_B).  A load covers 56*blocks windows, a chunk
+    8*rows windows and under 2^31 residues.  An empty mask in A yields
+    nothing; one in B yields no chunk, as T is all zero."""
     split, qa = 0, 1
     while split < len(masks) and qa * masks[split].p <= _A_RESIDUES:
         qa *= masks[split].p
@@ -148,16 +152,19 @@ def _crt_windows(masks: list[ImageMask], q: int):
     qb, u64 = q // qa, np.uint64
     ia = np.flatnonzero(np.unpackbits(np.frombuffer(_packed_image(masks[:split], 1, qa), np.uint8),
                                       count=qa, bitorder="little"))
+    n, span = len(ia), ((1 << 31) - 1) // qa
+    if not n:
+        return
     table = _packed_image(masks[split:], qa, qb + 64 if qa > 1 else qb)
     words = np.ndarray((len(table) - 7,), "<u8", table, strides=(1,))  # word i: bits 8i..8i+63
-    n, span = len(ia), ((1 << 31) - 1) // qa
-    blocks = max(1, min(_CHUNK_CANDIDATES // (56 * n), span // 56, -(-qb // 56)))
+    first, stop = lo // qa, hi // qa + 1  # the windows read
+    blocks = max(1, min(_CHUNK_CANDIDATES // (56 * n), span // 56, -(-(stop - first) // 56)))
     rows = min(7 * blocks, max(1, _CHUNK_CANDIDATES // (8 * n)))
     starts = 56 * np.arange(blocks)[:, None]
     delta = ia * pow(qa, -1, qb) % qb
     candidates = (np.arange(8 * rows, dtype=np.int32)[:, None] * qa + ia.astype(np.int32)).ravel()
     off, tmp = np.empty((2, blocks, n), np.int64)
-    for k0 in range(0, qb, 56 * blocks):
+    for k0 in range(first, stop, 56 * blocks):
         # off - qb < 0 is above off as unsigned
         np.add((starts + k0) % qb, delta, out=off)
         np.minimum(off.view(u64), np.subtract(off, qb, out=tmp).view(u64), out=off.view(u64))
@@ -168,30 +175,37 @@ def _crt_windows(masks: list[ImageMask], q: int):
         window_bytes = window_bytes.reshape(7 * blocks, n)
         for r in range(0, 7 * blocks, rows):
             k = k0 + 8 * r
-            if k >= qb:
+            if k >= stop:
                 break
+            count = min(8 * rows, stop - k)
             # flatnonzero reads a bool view 4 times as fast as the uint8 bytes
-            hit = np.unpackbits(window_bytes[r:r + rows], axis=0, count=min(8 * rows, qb - k),
-                                bitorder="little")
+            hit = np.unpackbits(window_bytes[r:r + rows], axis=0, count=count, bitorder="little")
             els = candidates[np.flatnonzero(hit.view(bool))] + np.int64(k * qa)
+            if k * qa < lo:
+                els = els[np.searchsorted(els, lo):]
+            if (k + count) * qa > hi + 1:
+                els = els[:np.searchsorted(els, hi, "right")]
             if len(els):
                 yield els
 
 
-def enumerate_image(modulus: SquareFreeModulus, masks, cap_bits: int = DEFAULT_CAP_BITS):
+def enumerate_image(modulus: SquareFreeModulus, masks, cap_bits: int = DEFAULT_CAP_BITS,
+                    lo: int = 0, hi: int | None = None):
     """Sorted residues of the image modulo q (t with t mod p in the image
-    mask at p for every p | q), given one non-empty mask per prime of the
-    modulus in its order, as an iterator of int64 arrays of whole windows,
-    about _CHUNK_CANDIDATES candidates each and at least 8 windows; empty
-    ranges are skipped.  CRT windows (_crt_windows) test q/s_A candidates at
-    one unpacked byte each, after one 8-byte load per element of the image
-    mod Q_A per 56 windows, and the one object that grows with q is the
-    image mod Q_B in q/Q_A packed bits.
+    mask at p for every p | q) in [lo, hi], by default all of [0, q), given
+    one mask per prime of the modulus in its order, as an iterator of int64
+    arrays of whole windows, about _CHUNK_CANDIDATES candidates each and at
+    least 8 windows, but for the first and last, which are trimmed to the
+    range; empty ranges are skipped.  CRT windows (_crt_windows) test
+    (hi - lo)/s_A candidates, give or take a window at either end, at one
+    unpacked byte each, after one 8-byte load per element of the image mod
+    Q_A per 56 windows, and the one object that grows with q is the image
+    mod Q_B in q/Q_A packed bits.
     Refuses moduli beyond cap_bits or at or past 2^63 at the call;
     correlation-style statistics stay available through the multiplicative
     path."""
     check_enumeration_cap(modulus.q, cap_bits)
-    return _crt_windows(list(masks), modulus.q)
+    return _crt_windows(list(masks), modulus.q, lo, modulus.q - 1 if hi is None else hi)
 
 
 def check_enumeration_cap(q: int, cap_bits: int) -> None:

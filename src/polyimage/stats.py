@@ -9,7 +9,11 @@ only repeats the cycle of gaps, so the table is filled in one pass over the
 image modulo the reduced modulus q1, as composite.enumerate_image streams it
 in chunks of whole windows from the masks of q1 that composite_stats built,
 and its counts and lag-1 sum are then scaled by q/q1; the cap on enumeration
-still bounds q itself.
+still bounds q itself.  When that image is its own mirror image r - t, as
+for every translate f(x + a) + c of an odd f, its cycle of gaps is a
+palindrome and the pass reads only the arc [r/2, (r + q1)/2], about half of
+q1; the arc's gaps count twice and the two seams where the arc meets its
+mirror image once.
 Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
 q1/2^16, are kept and merged by one sort at the end, so neither a per-gap
 array nor a per-chunk table is held.  Everything stays rational until
@@ -62,6 +66,11 @@ MAX_TABLE_ROTATION_BYTES = 1 << 28
 _SMALL_GAPS = 1 << 16
 # normalized gaps at or above this bound are the histogram's overflow
 HISTOGRAM_UPPER = 6
+# 64-bit words of a packed mask _mirror_centre sums at a time; the bits of a
+# word at the positions with bit k set, k < 6; each byte bit-reversed
+_WORD_CHUNK = 1 << 14
+_BIT_PLANES = [np.uint64(sum(1 << j for j in range(64) if j >> k & 1)) for k in range(6)]
+_BYTE_REVERSAL = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], np.uint8)
 
 
 @dataclass
@@ -80,15 +89,62 @@ class SpacingSeries:
     lag_sum: int
 
 
+def _mirror_centre(masks) -> int | None:
+    """The r in [0, Q), Q the product of the masks' primes, with the image
+    mod Q equal to r minus itself, or None.  At each prime the image S has
+    2*sum(S) = r*|S| mod p, so r mod p = 2*sum(S)/|S| is the one candidate
+    (an empty or full S has none).  sum(S) is taken from popcounts of the
+    packed mask's 64-bit words, _WORD_CHUNK words at a time, and the
+    candidate is checked against the mask reversed by a byte table and
+    rotated, so no byte, let alone an int64, per residue is held.  The
+    r mod p combine by CRT; a prime without one leaves none."""
+    r, q = 0, 1
+    for mask in masks:
+        p = mask.p
+        if not 0 < mask.count < p:
+            return None
+        words = np.frombuffer(mask.bits.to_bytes(-(-p // 64) * 8, "little"), np.uint64)
+        total = 0  # t = 64w + j sums 64w over the words and 2^k over each bit k set in j
+        for i in range(0, len(words), _WORD_CHUNK):
+            chunk = words[i:i + _WORD_CHUNK]
+            total += 64 * int(np.dot(np.bitwise_count(chunk), np.arange(i, i + len(chunk))))
+            total += sum(int(np.bitwise_count(chunk & plane).sum()) << k
+                         for k, plane in enumerate(_BIT_PLANES))
+        rp = 2 * total * pow(mask.count, -1, p) % p
+        # an image that is not its mirror image nearly always shows it in its
+        # lowest 64 residues, before the reversal and rotation of p bits
+        packed = words.view(np.uint8)
+        mirrored = ((rp - t) % p for t in range(min(p, 64)) if packed[t >> 3] >> (t & 7) & 1)
+        if not all(packed[u >> 3] >> (u & 7) & 1 for u in mirrored):
+            return None
+        # bit t of the reversal is bit p-1-t, and of the mirror image bit rp-t:
+        # the reversal rotated up by h = rp+1
+        reversal = int.from_bytes(_BYTE_REVERSAL[packed[::-1]], "little") >> 8 * len(packed) - p
+        del words, packed, chunk  # the views hold the bytes of the mask
+        h = (rp + 1) % p
+        if (reversal << h | reversal >> (p - h)) & ((1 << p) - 1) != mask.bits:
+            return None
+        r += q * ((rp - r) * pow(q, -1, p) % p)
+        q *= p
+    return r
+
+
 def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
                    cap_bits: int = DEFAULT_CAP_BITS) -> SpacingSeries:
     """Gap table of f modulo q, streamed from the image modulo q1 chunk by
     chunk.  A permutation prime takes every residue, so t is in the image mod
     q iff t mod q1 is in the image mod q1: the cycle of gaps mod q is c = q/q1
     copies of the cycle mod q1, and the element count, every gap count and
-    the lag-1 sum are c times their values there.  Refuses q beyond cap_bits
-    before any mask is built, degenerate moduli where the mean spacing is 1
-    (nothing to normalize), and images of fewer than two elements."""
+    the lag-1 sum are c times their values there.  When the image mod q1 is
+    its own mirror image, r minus itself (_mirror_centre), only the arc
+    [r/2, (r + q1)/2] is read: its elements first..last stand for one of each
+    pair t, r - t, so the cycle is the arc's gaps, the seam x2 = r + q1 -
+    2*last, the arc's gaps reversed and the seam x1 = 2*first - r.  The arc's
+    gaps and lag-1 products count twice; a seam counts once, or not at all
+    when it is 0, its element being its own mirror image.  Refuses q beyond
+    cap_bits before any mask is built, degenerate moduli where the mean
+    spacing is 1 (nothing to normalize), and images of fewer than two
+    elements."""
     check_enumeration_cap(modulus.q, cap_bits)
     stats = composite_stats(f, modulus)
     reduced = stats.q1_reduced
@@ -108,7 +164,9 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
     count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
     first = last = head = None
     q1_masks = [mask for mask in stats.masks if mask.count < mask.p]
-    for els in enumerate_image(reduced, q1_masks, cap_bits=cap_bits):
+    centre = _mirror_centre(q1_masks)
+    lo, hi = (0, reduced.q - 1) if centre is None else (-(-centre // 2), (centre + reduced.q) // 2)
+    for els in enumerate_image(reduced, q1_masks, cap_bits=cap_bits, lo=lo, hi=hi):
         count += len(els)
         gaps = np.empty(len(els), np.int64)
         np.subtract(els[1:], els[:-1], out=gaps[1:])
@@ -125,12 +183,27 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
             lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
             prev = int(gaps[-1])
             tally(gaps)
+    if last is None:  # an empty mask, the image of no polynomial
+        seams = []
+    elif centre is None:
+        # the wrap gap; with one element mod q1 (f constant mod each of its
+        # primes) it is one gap of q1, its own successor
+        seams = [first + reduced.q - last]
+        lag_sum += (prev + (seams[0] if head is None else head)) * seams[0]
+    else:
+        x1, x2 = 2 * first - centre, centre + reduced.q - 2 * last
+        seams = [x for x in (x2, x1) if x]
+        count, lag_sum = 2 * count - 2 + len(seams), 2 * lag_sum
+        small *= 2
+        large *= 2  # repeats each array in the list: np.unique counts each large gap twice
+        if head is None:  # one element in the arc: the cycle is its seams
+            lag_sum = sum(a * b for a, b in zip(seams, seams[1:] + seams[:1]))
+        else:
+            lag_sum += 2 * head * x1 if x1 else head * head
+            lag_sum += 2 * prev * x2 if x2 else prev * prev
     if copies * count < 2:
         raise DegenerateInputError("image has fewer than two elements")
-    # one element mod q1 (f constant mod each of its primes): one gap of q1, its own successor
-    wrap = first + reduced.q - last
-    lag_sum += prev * wrap + wrap * (wrap if head is None else head)
-    tally(np.array([wrap]))
+    tally(np.array(seams))
     small_values = np.flatnonzero(small)
     big_values, big_counts = np.unique(np.concatenate(large), return_counts=True)
     values = np.concatenate([small_values, big_values])

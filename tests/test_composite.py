@@ -1,5 +1,6 @@
 """Square-free moduli: factorization, CRT products, enumeration."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -186,6 +187,40 @@ def test_enumerate_image_over_hand_built_masks():
                         mp.setattr(composite, "_A_RESIDUES", a_residues)
                         mp.setattr(composite, "_CHUNK_CANDIDATES", chunk)
                     assert elements(enumerate_image(m, masks)) == want, (primes, a_residues)
+
+
+def test_enumerate_empty_mask_yields_nothing():
+    # an empty mask, the image of no polynomial, in A or in B, at any budget
+    for primes, sets in (([3, 5], [set(), {1}]), ([3, 5], [{0, 2}, set()]),
+                         ([2, 3, 5], [{1}, {0, 1}, set()])):
+        m = parse_modulus(primes)
+        masks = [ImageMask(p, sum(1 << t for t in s), len(s)) for p, s in zip(primes, sets)]
+        for a_residues in (None, 1, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                if a_residues is not None:
+                    mp.setattr(composite, "_A_RESIDUES", a_residues)
+                assert list(enumerate_image(m, masks)) == [], (primes, a_residues)
+
+
+def test_enumerate_range_matches_oracle():
+    # [lo, hi] starts and ends anywhere in a window, and chunks of 1 or 3
+    # candidates end at every window phase
+    rng = random.Random(27)
+    for f, qv in ((parse_poly("x^2"), 1155), (parse_poly("x^3+x+1"), 3 * 7 * 13),
+                  (parse_poly("x^2"), 9973)):
+        m = parse_modulus(qv)
+        masks = masks_of(f, m)
+        want = brute_image(f, qv)
+        ranges = [(0, qv - 1), (qv - 1, qv - 1), (0, 0), (qv // 2, qv - 1)]
+        ranges += [tuple(sorted(rng.sample(range(qv), 2))) for _ in range(4)]
+        for (lo, hi), (a_residues, chunk) in itertools.product(
+                ranges, ((None, None), (1, 1), (30, 3), (7, 64))):
+            with pytest.MonkeyPatch.context() as mp:
+                if a_residues is not None:
+                    mp.setattr(composite, "_A_RESIDUES", a_residues)
+                    mp.setattr(composite, "_CHUNK_CANDIDATES", chunk)
+                got = elements(enumerate_image(m, masks, lo=lo, hi=hi))
+            assert got == [t for t in want if lo <= t <= hi], (qv, lo, hi, a_residues)
 
 
 def test_enumerate_holds_nothing_of_length_q():

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from polyimage.composite import (composite_stats, enumerate_image, joint_count_c
 from polyimage.errors import DegenerateInputError, InvalidInputError, ResourceCapError
 from polyimage.oracle import brute_image, ks_statistic_exponential
 from polyimage.polyarith import IntPoly, parse_poly
-from polyimage.primeimage import image_mask
+from polyimage.primeimage import ImageMask, image_mask
 from polyimage.stats import (
     CorrelationWindow,
     adjacent_gap_correlation,
@@ -148,16 +149,20 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
         assert corr == pytest.approx(np.corrcoef(g, np.roll(g, -1))[0, 1], abs=1e-12)
 
 
-@pytest.mark.parametrize("poly, q", [
-    ("x^2", 2 * 3 * 5 * 7),
-    ("x^2", 2 * 3 * 5 * 7 * 11 * 13),
-    ("x^3", 2 * 3 * 5 * 7 * 11 * 13),  # 2, 3, 5 and 11 are permutation primes
-    ("x^3+x", 3 * 7 * 11 * 13),
-    ("3x+1", 3 * 5 * 7),  # one element mod q1 = 3
-    ("6x", 2 * 3 * 5 * 7 * 11),
-])
-def test_gap_table_reads_the_image_mod_q1(poly, q):
-    # the table read from the image mod q1 equals the one from every residue of q
+Q1_READS = [
+    ("x^2", 2 * 3 * 5 * 7, None),
+    ("x^2", 2 * 3 * 5 * 7 * 11 * 13, None),
+    ("x^3", 2 * 3 * 5 * 7 * 11 * 13, 0),  # 2, 3, 5 and 11 are permutation primes
+    ("x^3+x", 3 * 7 * 11 * 13, 0),
+    ("3x+1", 3 * 5 * 7, 2),  # one element mod q1 = 3
+    ("6x", 2 * 3 * 5 * 7 * 11, 0),
+]
+
+
+@pytest.mark.parametrize("poly, q, centre", Q1_READS, ids=[f"{f}-{q}" for f, q, _ in Q1_READS])
+def test_gap_table_reads_the_image_mod_q1(poly, q, centre):
+    # the table read from the image mod q1, or from its arc [r/2, (r + q1)/2]
+    # when it is r minus itself, equals the one from every residue of q
     f, m = parse_poly(poly), parse_modulus(q)
     els = [int(t) for chunk in enumerate_image(m, composite_stats(f, m).masks) for t in chunk]
     n = len(els)
@@ -165,16 +170,24 @@ def test_gap_table_reads_the_image_mod_q1(poly, q):
     calls = []
 
     def spy(modulus, masks, **kwargs):
-        calls.append([modulus, [mask.p for mask in masks], 0])
+        calls.append([modulus, [mask.p for mask in masks], kwargs["lo"], kwargs["hi"], 0])
         for chunk in enumerate_image(modulus, masks, **kwargs):
-            calls[-1][2] += len(chunk)
+            calls[-1][-1] += len(chunk)
             yield chunk
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stats, "enumerate_image", spy)
         s = spacing_series(f, m)
     q1 = composite_stats(f, m).q1_reduced
-    assert q1.q < q and calls == [[q1, list(q1.primes), n * q1.q // q]]
+    image = sorted({t % q1.q for t in els})
+    assert len(image) == n * q1.q // q
+    if centre is None:
+        lo, hi = 0, q1.q - 1
+    else:
+        assert sorted((centre - t) % q1.q for t in image) == image
+        lo, hi = -(-centre // 2), (centre + q1.q) // 2
+    arc = [t for t in image if lo <= t <= hi]
+    assert q1.q < q and calls == [[q1, list(q1.primes), lo, hi, len(arc)]]
     assert s.modulus == m and s.element_count == n
     assert list(s.gap_values) == sorted(set(gaps))
     assert list(s.gap_counts) == [gaps.count(v) for v in sorted(set(gaps))]
@@ -191,32 +204,217 @@ def test_one_image_element_mod_q1_needs_a_copy():
 
 
 def test_gap_table_memory_is_bounded_across_chunks():
-    # Q_A = 1 and 8-candidate chunks split x^2 mod 81001 into over 10^4
-    # chunks; the gap table must not grow with them (a table per chunk
-    # peaked at 4.6 MB here)
+    # Q_A = 1 and 8-candidate chunks split x^2 mod p into over 10^4 chunks:
+    # all of 81019 = 3 mod 4, and the arc [0, p/2] of 162017 = 1 mod 4, where
+    # the image is minus itself; the gap table must not grow with them (a
+    # table per chunk peaked at 4.6 MB at 81001)
     f = parse_poly("x^2")
-    m = parse_modulus(81001)
-    built = composite_stats(f, m)
-    chunks = []
+    for p, read in ((81019, (81019 + 1) // 2), (162017, (162017 + 3) // 4)):
+        m = parse_modulus(p)
+        built = composite_stats(f, m)
+        chunks = []
 
-    def counted(*args, **kwargs):
-        for els in enumerate_image(*args, **kwargs):
-            chunks.append(len(els))
-            yield els
+        def counted(*args, **kwargs):
+            for els in enumerate_image(*args, **kwargs):
+                chunks.append(len(els))
+                yield els
 
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(composite, "_CHUNK_CANDIDATES", 8)
+            mp.setattr(composite, "_A_RESIDUES", 1)
+            mp.setattr(stats, "enumerate_image", counted)
+            mp.setattr(stats, "composite_stats", lambda f, modulus: built)
+            tracemalloc.start()
+            try:
+                s = spacing_series(f, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(chunks) >= 10**4 and sum(chunks) == read
+        assert s.element_count == (m.q + 1) // 2
+        assert peak < 1 << 20, peak
+
+
+def oracle_table(image, q):
+    """Element count, sorted gap values, their counts and the lag-1 sum of
+    the cycle of gaps of a sorted image modulo q."""
+    n = len(image)
+    gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + q - image[-1]]
+    counts = Counter(gaps)
+    values = sorted(counts)
+    return n, values, [counts[v] for v in values], sum(g * gaps[i - 1] for i, g in enumerate(gaps))
+
+
+def table(s):
+    return s.element_count, list(s.gap_values), list(s.gap_counts), s.lag_sum
+
+
+def q1_masks(f, m):
+    return [mask for mask in composite_stats(f, m).masks if mask.count < mask.p]
+
+
+# (chunk candidates, A budget): the default, one window of Q_A = 1 per chunk
+# of 8, and Q_A at most 30 in chunks of 3 candidates
+SMALL_CHUNKS = ((None, None), (1, 1), (3, 30))
+
+
+def chunked_tables(f, m):
+    tables = []
+    for chunk, a_residues in SMALL_CHUNKS:
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(composite, "_CHUNK_CANDIDATES", chunk)
+                mp.setattr(composite, "_A_RESIDUES", a_residues)
+            tables.append(table(spacing_series(f, m)))
+    return tables
+
+
+@pytest.mark.parametrize("poly, primes, centre, self_mirrored", [
+    ("x^3", [7, 13], 0, "first"),  # first = 0 = r/2
+    ("x^2", [3, 5, 13], 130, ""),  # the one t = r - t, 65, is not in the image mod 3
+    ("x^2+x", [2, 5, 13], 32, "first"),  # even q1: t = r - t at 16 and 81, 16 in the image
+    ("x^2+x", [2, 5, 17], 42, "last"),  # 21 and 106, 106 in the image
+    ("x^3+x+23", [2, 3, 7], 4, "last"),  # 3 is a permutation prime: q1 = 14
+    ("x^3-3x", [5, 7, 11, 13], 0, "first"),
+    ("x^3+x-1", [7, 11, 13], 999, "last"),  # r = q1 - 2: the arc ends at q1 - 1
+    ("x^2", [3], 1, ""),  # {0, 1}: one element in the arc [1, 2], two seams
+    ("10x^2", [3, 5], 10, ""),  # {0, 10}: the one element 10 in [5, 12], seams 10 and 5
+    ("3x+1", [3, 5, 7], 2, "first"),  # one element mod q1 = 3, its own mirror image
+    ("6x", [2, 3, 5, 7, 11], 0, "first"),  # one element mod q1 = 6
+])
+def test_mirror_arc_matches_oracle(poly, primes, centre, self_mirrored):
+    # the arc [r/2, (r + q1)/2] and its seams give the gap table of every
+    # residue, whichever seam is an element that is its own mirror image
+    f, m = parse_poly(poly), parse_modulus(primes)
+    q1 = composite_stats(f, m).q1_reduced.q
+    image = brute_image(f, q1)
+    assert stats._mirror_centre(q1_masks(f, m)) == centre
+    assert sorted((centre - t) % q1 for t in image) == image
+    arc = [t for t in image if centre <= 2 * t <= centre + q1]
+    seams = {"first": 2 * arc[0] == centre, "last": 2 * arc[-1] == centre + q1}
+    assert [k for k, v in seams.items() if v] == ([self_mirrored] if self_mirrored else [])
+    want = oracle_table(brute_image(f, m.q), m.q)
+    assert chunked_tables(f, m) == [want] * len(SMALL_CHUNKS)
+
+
+def test_mirror_arc_matches_oracle_on_random_moduli():
+    # translates f(x + a) + c of odd f, which are all c minus themselves, and
+    # x^2, x^4 - 2x^2, x^5 + 5x, which are at some primes and not at others,
+    # modulo 1 to 4 primes below 44, 2 among them; an image mod q1 is r minus
+    # itself iff it is at every prime of q1, and r is even when 2 | q1
+    rng = random.Random(27)
+    primes = [p for p in range(2, 44) if all(p % d for d in range(2, p))]
+    odd = ["x^3+x", "x^3-3x", "x^5+5x", "x^3", "x^5-x^3+2x", "x^7+x"]
+    symmetric = 0
+    for _ in range(40):
+        poly = rng.choice(odd + ["x^2", "x^4-2x^2"])
+        f = parse_poly(poly)
+        if poly in odd:
+            f = f.shifted(rng.randrange(-50, 50))
+            f = IntPoly((f.coeffs[0] + rng.randrange(-50, 50),) + f.coeffs[1:])
+        chosen = sorted(rng.sample(primes[1:], rng.randint(0, 3)) + [2] * rng.randint(0, 1))
+        if not chosen or math.prod(chosen) > 6000:
+            chosen = [2, rng.choice(primes[1:6])]
+        m = parse_modulus(chosen)
+        masks = q1_masks(f, m)
+        image = brute_image(f, m.q)
+        if len(masks) == 0 or len(image) < 2:
+            continue
+        centre = stats._mirror_centre(masks)
+        at_every_prime = all(
+            any(sorted((r - t) % p for t in brute_image(f, p)) == brute_image(f, p)
+                for r in range(p)) for p in (mask.p for mask in masks))
+        assert (centre is not None) == at_every_prime, (f, chosen)
+        assert centre is not None or poly not in odd
+        if centre is not None:
+            symmetric += 1
+            q1 = math.prod(mask.p for mask in masks)
+            assert q1 % 2 or centre % 2 == 0
+        assert chunked_tables(f, m) == [oracle_table(image, m.q)] * len(SMALL_CHUNKS), (f, chosen)
+    assert symmetric >= 20
+
+
+class WindowCounter:
+    """numpy for composite, counting the windows _crt_windows unpacks."""
+
+    def __init__(self):
+        self.windows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unpackbits(self, a, axis=None, count=None, bitorder="big"):
+        if axis == 0:
+            self.windows += count
+        return np.unpackbits(a, axis=axis, count=count, bitorder=bitorder)
+
+
+@pytest.mark.parametrize("poly, primes, symmetric", [
+    ("x^3+x", [3, 7, 11, 13, 17, 19], True),
+    ("x^3-3x", [5, 7, 11, 13], True),
+    ("x^2", [5, 13, 17, 29], True),
+    ("x^2", [5, 7, 13], False),  # 7 = 3 mod 4: -1 is no square
+    ("x^4-2x^2", [5, 7, 11, 13], False),
+])
+@pytest.mark.parametrize("a_residues", [None, 1, 100])
+def test_symmetric_image_reads_half_the_residues(poly, primes, symmetric, a_residues):
+    f, m = parse_poly(poly), parse_modulus(primes)
+    q1 = composite_stats(f, m).q1_reduced
+    counter = WindowCounter()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(composite, "_CHUNK_CANDIDATES", 8)
-        mp.setattr(composite, "_A_RESIDUES", 1)
-        mp.setattr(stats, "enumerate_image", counted)
-        mp.setattr(stats, "composite_stats", lambda f, modulus: built)
+        if a_residues is not None:
+            mp.setattr(composite, "_A_RESIDUES", a_residues)
+        qa = 1
+        for p in q1.primes:
+            if qa * p > composite._A_RESIDUES:
+                break
+            qa *= p
+        mp.setattr(composite, "np", counter)
+        s = spacing_series(f, m)
+    assert s.element_count == composite_stats(f, m).omega_q_size
+    read = counter.windows * qa
+    if symmetric:
+        # the arc holds at most q1/2 + 1 residues, its windows up to
+        # Q_A - 1 more at either end
+        assert read <= -(-q1.q // 2) + 2 * qa, (read, q1.q, qa)
+    else:
+        assert read == q1.q
+
+
+def test_mirror_check_holds_the_mask_packed():
+    # at p = 1000033 = 1 mod 4, x^2 is minus itself and x^4 - 2x^2 is not:
+    # the check holds a few packed copies of the p/8-byte mask, where one
+    # int64 per residue would be 8p bytes
+    p = 1000033
+    masks = [image_mask(parse_poly(poly), p) for poly in ("x^2", "x^4-2x^2")]
+    centres = []
+    for mask in masks:
         tracemalloc.start()
         try:
-            s = spacing_series(f, m)
+            centres.append(stats._mirror_centre([mask]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert len(chunks) >= 10**4 and s.element_count == sum(chunks) == (m.q + 1) // 2
-    assert peak < 1 << 20, peak
+        assert peak < 6 * p // 8, peak
+    assert centres == [0, None]
+
+
+def test_mirror_check_fails_fast(monkeypatch):
+    # x^2 mod 1000003 = 3 mod 4 is not minus itself, and its lowest residues
+    # show it before any reversal of the mask
+    monkeypatch.setattr(stats, "_BYTE_REVERSAL", None)
+    assert stats._mirror_centre([image_mask(parse_poly("x^2"), 1000003)]) is None
+
+
+def test_empty_mask_has_fewer_than_two_elements(monkeypatch):
+    # no polynomial has an empty image, but a hand-built mask may: the image
+    # mod q is empty, with no centre
+    masks = (ImageMask(3, 0, 0), ImageMask(5, 1, 1))
+    built = composite.CompositeStats(0, None, parse_modulus(15), masks)
+    monkeypatch.setattr(stats, "composite_stats", lambda f, modulus: built)
+    assert stats._mirror_centre(masks) is None
+    with pytest.raises(DegenerateInputError, match="fewer than two"):
+        spacing_series(parse_poly("x^2"), parse_modulus(15))
 
 
 def test_ks_single_point():
