@@ -37,7 +37,6 @@ from .primeimage import (
 from .stats import (
     CorrelationResult,
     CorrelationWindow,
-    KSResult,
     SpacingSeries,
     adjacent_gap_correlation,
     correlation,

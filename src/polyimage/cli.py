@@ -131,13 +131,13 @@ def cmd_spacings(args: argparse.Namespace) -> tuple[int, dict, str]:
         "q": m.q,
         "omega_size": series.element_count,
         "s_q": Fraction(m.q, series.element_count),
-        "ks": {"statistic": ks.statistic, "n": ks.n},
+        "ks": {"statistic": ks, "n": series.element_count},
         "adjacent_gap_correlation": corr,
         "gap_frequencies": {h: gap_frequency(series, h) for h in range(1, 11)},
     }
     if args.out:
         _write_out(args, histogram_normalized(series, bins=args.bins or 50), result)
-    return 0, result, (f"{series.element_count} gaps, KS {ks.statistic:.4f}, "
+    return 0, result, (f"{series.element_count} gaps, KS {ks:.4f}, "
                        f"adjacent correlation {corr:.4f}")
 
 

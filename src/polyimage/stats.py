@@ -3,23 +3,25 @@
 Gaps between consecutive image elements modulo q (including the wraparound
 gap that closes the cycle) are normalized by the exact mean spacing q/|image|
 so that the reference model is the unit-rate exponential.  Every spacing
-statistic reads one gap table -- the count of each gap value and the lag-1
-sum of products of neighbouring gaps.  A permutation prime (omega_p = p)
-only repeats the cycle of gaps, so the table is filled in one pass over the
-image modulo the reduced modulus q1, as composite.enumerate_image streams it
-in chunks of whole windows from the masks of q1 that composite_stats built,
-and its counts and lag-1 sum are then scaled by q/q1; the cap on enumeration
-still bounds q itself.  When that image is its own mirror image r - t, as
-for every translate f(x + a) + c of an odd f, its cycle of gaps is a
-palindrome and the pass reads only the arc [r/2, (r + q1)/2], about half of
-q1; the arc's gaps count twice and the two seams where the arc meets its
-mirror image once.
-Gaps below 2^16 are counted in one fixed table; the larger ones, fewer than
-q1/2^16, are kept and merged by one sort at the end, so neither a per-gap
-array nor a per-chunk table is held.  Everything stays rational until
-a statistic is inherently real-valued: the KS distance converts single gap
-values to floats at the last step, and the histogram finds each gap's bin in
-integers, so its bins are exact and only its edges and densities are floats.
+statistic reads one gap table (SpacingSeries): the element count, the count
+of each gap value and the lag-1 sum of products of neighbouring gaps.  A
+permutation prime (omega_p = p) only repeats the cycle of gaps, so the table
+is filled in one pass over the image modulo the reduced modulus q1, as
+composite.enumerate_image streams it in chunks from the masks of q1 that
+composite_stats built, and then scaled by q/q1; the cap on enumeration still
+bounds q itself.  When that image is its own mirror image r - t, as for every
+translate f(x + a) + c of an odd f, the pass reads only the arc [r/2,
+(r + q1)/2], about half of q1.  One chain rule closes either cycle: a run of
+consecutive gaps is kept as (first gap, last gap, lag-1 sum inside), two
+runs join by adding last * first at the seam between them, and the cycle is
+a cyclic list of runs -- the chunks' gaps, then the wrap gap or the seams
+and the arc reversed.  Gaps below 2^16 are counted in one fixed table; the
+larger ones, fewer than q1/2^16, are kept and merged by one sort at the end,
+so neither a per-gap array nor a per-chunk table is held.  Everything stays
+rational until a statistic is inherently real-valued: the KS distance
+converts single gap values to floats at the last step, and the histogram
+finds each gap's bin in integers, so its bins are exact and only its edges
+and densities are floats.
 
 The correlation sum runs over the integer points of the dilated window,
 drops the points on the excluded hyperplanes (equal coordinates, zero
@@ -129,22 +131,38 @@ def _mirror_centre(masks) -> int | None:
     return r
 
 
+def _join(a, b):
+    """Run a then run b as one run; None is the empty run."""
+    if a is None or b is None:
+        return b if a is None else a
+    return a[0], b[1], a[2] + a[1] * b[0] + b[2]
+
+
+def _run(gaps):
+    """Consecutive gaps as a run (first gap, last gap, lag-1 sum inside), or
+    None.  An array's gaps lie in one chunk of span < 2^31, so their int64
+    dot stays below 2^62."""
+    if not len(gaps):
+        return None
+    return int(gaps[0]), int(gaps[-1]), int(np.dot(gaps[:-1], gaps[1:]))
+
+
 def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
                    cap_bits: int = DEFAULT_CAP_BITS) -> SpacingSeries:
     """Gap table of f modulo q, streamed from the image modulo q1 chunk by
     chunk.  A permutation prime takes every residue, so t is in the image mod
     q iff t mod q1 is in the image mod q1: the cycle of gaps mod q is c = q/q1
-    copies of the cycle mod q1, and the element count, every gap count and
-    the lag-1 sum are c times their values there.  When the image mod q1 is
-    its own mirror image, r minus itself (_mirror_centre), only the arc
-    [r/2, (r + q1)/2] is read: its elements first..last stand for one of each
-    pair t, r - t, so the cycle is the arc's gaps, the seam x2 = r + q1 -
-    2*last, the arc's gaps reversed and the seam x1 = 2*first - r.  The arc's
-    gaps and lag-1 products count twice; a seam counts once, or not at all
-    when it is 0, its element being its own mirror image.  Refuses q beyond
-    cap_bits before any mask is built, degenerate moduli where the mean
-    spacing is 1 (nothing to normalize), and images of fewer than two
-    elements."""
+    copies of the cycle mod q1.  That cycle is a cyclic list of runs (_run,
+    _join): [the image's gaps, the wrap gap] or, when the image mod q1 is its
+    own mirror image r minus itself (_mirror_centre) and only the M elements
+    first..last of the arc [r/2, (r + q1)/2] are read, [the arc's gaps, the
+    seam x2 = r + q1 - 2*last, the arc's gaps reversed, the seam x1 = 2*first
+    - r], where a seam of 0 (an element that is its own mirror image) and an
+    empty run drop out.  Its lag-1 sum is that of the runs joined, plus the
+    last gap times the first; its gap count is m*(M - 1) plus the seams, m = 1,
+    or 2 on an arc; mod q both are c times that.  Refuses q beyond cap_bits
+    before any mask is built, degenerate moduli where the mean spacing is 1
+    (nothing to normalize), and images of fewer than two elements."""
     check_enumeration_cap(modulus.q, cap_bits)
     stats = composite_stats(f, modulus)
     reduced = stats.q1_reduced
@@ -154,61 +172,48 @@ def spacing_series(f: IntPoly, modulus: SquareFreeModulus,
     small, large = np.zeros(_SMALL_GAPS, np.int64), [np.empty(0, np.int64)]
 
     def tally(gaps):
-        if gaps.max() >= _SMALL_GAPS:
+        if gaps.max(initial=0) >= _SMALL_GAPS:
             big = gaps >= _SMALL_GAPS
             large.append(gaps[big])
             gaps = gaps[~big]
         counts = np.bincount(gaps)
         small[:len(counts)] += counts
 
-    count = lag_sum = prev = 0  # prev: the gap before the current chunk, 0 before the first
-    first = last = head = None
     q1_masks = [mask for mask in stats.masks if mask.count < mask.p]
     centre = _mirror_centre(q1_masks)
     lo, hi = (0, reduced.q - 1) if centre is None else (-(-centre // 2), (centre + reduced.q) // 2)
+    count, arc, first, last = 0, None, 0, 0
     for els in enumerate_image(reduced, q1_masks, cap_bits=cap_bits, lo=lo, hi=hi):
-        count += len(els)
-        gaps = np.empty(len(els), np.int64)
+        gaps = np.empty(len(els), np.int64)  # gaps[0] crosses from the previous chunk
+        gaps[0] = els[0] - last
         np.subtract(els[1:], els[:-1], out=gaps[1:])
-        if last is None:
-            first, gaps = int(els[0]), gaps[1:]
-        else:
-            gaps[0] = els[0] - last
-        last = int(els[-1])
-        if len(gaps):
-            g0 = int(gaps[0])
-            head = g0 if head is None else head
-            # g0 may cross from the previous chunk: its products are Python ints;
-            # the rest lie in one chunk of span < 2^31, so their sum is < 2^62
-            lag_sum += (prev + int(gaps[1:2].sum())) * g0 + int(np.dot(gaps[1:-1], gaps[2:]))
-            prev = int(gaps[-1])
-            tally(gaps)
-    if last is None:  # an empty mask, the image of no polynomial
-        seams = []
-    elif centre is None:
-        # the wrap gap; with one element mod q1 (f constant mod each of its
-        # primes) it is one gap of q1, its own successor
-        seams = [first + reduced.q - last]
-        lag_sum += (prev + (seams[0] if head is None else head)) * seams[0]
-    else:
-        x1, x2 = 2 * first - centre, centre + reduced.q - 2 * last
-        seams = [x for x in (x2, x1) if x]
-        count, lag_sum = 2 * count - 2 + len(seams), 2 * lag_sum
+        if count:  # a run of its own, so its products are Python ints
+            arc = _join(arc, _run(gaps[:1]))
+        else:  # no gap crosses into the first chunk
+            first = int(els[0])
+        tally(gaps[0 if count else 1:])
+        count, last = count + len(els), int(els[-1])
+        arc = _join(arc, _run(gaps[1:]))
+    if centre is None:
+        m, seams = 1, [first + reduced.q - last]  # the wrap gap
+        runs = [arc, _run(seams)]
+    else:  # a seam of 0 is no gap
+        x2, x1 = ([x] if x else [] for x in (centre + reduced.q - 2 * last, 2 * first - centre))
+        m, seams = 2, x2 + x1
+        runs = [arc, _run(x2), arc and (arc[1], arc[0], arc[2]), _run(x1)]
         small *= 2
         large *= 2  # repeats each array in the list: np.unique counts each large gap twice
-        if head is None:  # one element in the arc: the cycle is its seams
-            lag_sum = sum(a * b for a, b in zip(seams, seams[1:] + seams[:1]))
-        else:
-            lag_sum += 2 * head * x1 if x1 else head * head
-            lag_sum += 2 * prev * x2 if x2 else prev * prev
+    count = m * (count - 1) + len(seams)
     if copies * count < 2:
         raise DegenerateInputError("image has fewer than two elements")
     tally(np.array(seams))
+    start, end, inside = reduce(_join, runs)
     small_values = np.flatnonzero(small)
     big_values, big_counts = np.unique(np.concatenate(large), return_counts=True)
     values = np.concatenate([small_values, big_values])
     counts = np.concatenate([small[small_values], big_counts])
-    return SpacingSeries(modulus, copies * count, values, copies * counts, copies * lag_sum)
+    return SpacingSeries(modulus, copies * count, values, copies * counts,
+                         copies * (inside + end * start))
 
 
 def gap_frequency(series: SpacingSeries, h: int) -> Fraction:
@@ -218,24 +223,18 @@ def gap_frequency(series: SpacingSeries, h: int) -> Fraction:
     return Fraction(int(series.gap_counts[series.gap_values == h].sum()), series.element_count)
 
 
-@dataclass(frozen=True)
-class KSResult:
-    statistic: float
-    n: int
-
-
-def ks_exponential(series: SpacingSeries) -> KSResult:
-    cum = np.cumsum(series.gap_counts)
-    n = int(cum[-1])
-    omega, q = series.element_count, series.modulus.q
+def ks_exponential(series: SpacingSeries) -> float:
+    """KS distance between the normalized gaps (one per element) and the
+    unit exponential."""
+    n, q = series.element_count, series.modulus.q
     d = 0.0
     below = 0
-    for g, c in zip(series.gap_values, cum):
-        t = (int(g) * omega) / q  # correctly-rounded float of the exact ratio
+    for g, c in zip(series.gap_values, np.cumsum(series.gap_counts)):
+        t = (int(g) * n) / q  # correctly-rounded float of the exact ratio
         ref = -math.expm1(-t)
         d = max(d, abs(ref - below / n), abs(int(c) / n - ref))
         below = int(c)
-    return KSResult(d, n)
+    return d
 
 
 def adjacent_gap_correlation(series: SpacingSeries) -> float:

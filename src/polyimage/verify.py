@@ -253,10 +253,10 @@ def check_poisson() -> CheckResult:
     series = spacing_series(f, m)
     ks = ks_exponential(series)
     corr = adjacent_gap_correlation(series)
-    ok = ks.statistic <= KS_TOL and abs(corr) <= ADJACENT_CORR_TOL
+    ok = ks <= KS_TOL and abs(corr) <= ADJACENT_CORR_TOL
     return CheckResult(
         "poisson-spacings", ok,
-        {"q": m.q, "n": ks.n, "ks": round(ks.statistic, 6),
+        {"q": m.q, "n": series.element_count, "ks": round(ks, 6),
          "ks_tolerance": KS_TOL, "adjacent_corr": round(corr, 6),
          "corr_tolerance": ADJACENT_CORR_TOL},
     )
@@ -369,9 +369,9 @@ def anomaly_report(f: IntPoly, p: int, threshold: float = ANOMALY_THRESHOLD) -> 
     Flags offsets, checks they sit in the critical-difference set, and for the
     quartic testbed also measures the pair-count ratio at offset 1 against its
     residue-class constant.  The scan's refusals come before the mask is
-    built."""
-    obs = critical_diffs_mod(f, p)
+    built, and before its obstruction set."""
     check_anomaly_scan(p, threshold)
+    obs = critical_diffs_mod(f, p)
     mask = compute_image(f, p)
     scan = anomaly_scan(mask, obs, threshold=threshold)
     details: dict = {

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polyimage import cli, polyarith, primeimage
+from polyimage import cli, polyarith, primeimage, verify
 from polyimage.cli import main
 from polyimage.verify import ANOMALY_THRESHOLD
 
@@ -300,6 +300,21 @@ def test_bench_command_lines_parse():
         for op in ops.build(workload, 0):
             args = parser.parse_args(op["argv"])
             assert args.command == op["argv"][0] and args.workers == 1
+
+
+def test_bench_traced_round_runs(monkeypatch):
+    # one traced round of every workload, as `bench/run.py --trace 1` runs it:
+    # the tracer wraps every layer, `parallel` among them, each operation
+    # exits 0, every counter is fed and the image_mask cache is read
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workload, tracing = (importlib.import_module(m) for m in ("workload", "tracing"))
+    tracer = tracing.Tracer()
+    runner = workload.Runner(cli, primeimage, tracer)
+    for name in workload.ops.WORKLOADS:
+        for op in workload.ops.build(name, 0):
+            assert runner.run(op["argv"], traced=True)[0] == 0, op["argv"]
+    assert all(tracer.counters[name] > 0 for name, _ in workload.COUNTS), dict(tracer.counters)
+    assert runner.misses > 0
 
 
 def _bench_ops():
@@ -681,11 +696,16 @@ def test_reports_byte_identical_across_workers(capsys):
 
 def test_verify_anomaly_refuses_before_the_mask(capsys, monkeypatch):
     # p < 5, a threshold that is not finite and >= 0, and a prime past the
-    # pair-count transform are refused before the report builds its mask
+    # pair-count transform are refused before the report builds its mask or
+    # its obstruction set
     def build(f, p):
         raise AssertionError(f"mask built at p={p}")
 
+    def obstructions(f, p):
+        raise AssertionError(f"obstruction set built at p={p}")
+
     _patch_compute_image(monkeypatch, build)
+    monkeypatch.setattr(verify, "critical_diffs_mod", obstructions)
     for prime, threshold, want in (("3", "5", "error: anomaly scan needs p >= 5"),
                                    ("10007", "nan", "error: threshold must be finite"),
                                    ("10007", "-1", "error: threshold must be finite"),
@@ -695,6 +715,9 @@ def test_verify_anomaly_refuses_before_the_mask(capsys, monkeypatch):
                              f"--threshold={threshold}")
         assert code == (3 if want.startswith("resource") else 2) and not out, prime
         assert err.startswith(want), (prime, threshold, err)
+    # the scan's refusal comes before the obstruction set's own (deg f < 2)
+    code, out, err = run(capsys, "verify", "anomaly", "--poly", "2x+1", "--prime", "3")
+    assert code == 2 and not out and err.startswith("error: anomaly scan needs p >= 5"), err
 
 
 def test_verify_anomaly_rejects_bad_threshold(capsys):

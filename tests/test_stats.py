@@ -134,9 +134,8 @@ def test_gap_table_matches_oracle(chunk_candidates, coeffs, q):
         index = [min(math.floor(Fraction(g * n * bins, q * 6)), bins) for g in gaps]
         rows = histogram_normalized(s, bins)
         assert [r["count"] for r in rows] == [index.count(i) for i in range(bins + 1)]
-    ks = ks_exponential(s)
-    assert ks.n == n
-    assert ks.statistic == pytest.approx(
+    assert sum(s.gap_counts) == n
+    assert ks_exponential(s) == pytest.approx(
         ks_statistic_exponential([Fraction(g * n, q) for g in gaps]), abs=1e-12)
     corr = adjacent_gap_correlation(s)
     den = n * sum(g * g for g in gaps) - q * q
@@ -297,6 +296,34 @@ def test_mirror_arc_matches_oracle(poly, primes, centre, self_mirrored):
     assert chunked_tables(f, m) == [want] * len(SMALL_CHUNKS)
 
 
+def test_sparse_mirrored_image_is_exact_past_int64_products():
+    # x^65536 takes {0, 1} mod 65537, and 0 with the twelve 12th roots of 1
+    # mod 786433: 26 elements mod q and 52 mod 2q (2 is a permutation prime),
+    # centre 46854891707.  Its gaps reach 9261033471, so neighbouring
+    # products pass 2^63, and gaps of 2^16 and more lie on the arc
+    f, p1, p2 = parse_poly("x^65536"), 65537, 786433
+    w = next(w for w in (pow(a, 65536, p2) for a in range(2, p2))
+             if pow(w, 4, p2) != 1 and pow(w, 6, p2) != 1)  # of order 12
+    residues = {2: [0, 1], p1: [0, 1], p2: [0] + [pow(w, k, p2) for k in range(12)]}
+    q1, centre = p1 * p2, 46854891707
+    for primes in ([p1, p2], [2, p1, p2]):
+        m = parse_modulus(primes)
+        q = m.q
+        image = sorted(sum(r * (q // p) * pow(q // p, -1, p) for r, p in zip(rs, primes)) % q
+                       for rs in itertools.product(*(residues[p] for p in primes)))
+        gaps = [b - a for a, b in zip(image, image[1:])] + [image[0] + q - image[-1]]
+        assert len(image) == 26 * q // q1 and max(gaps) == 9261033471
+        assert max(g * gaps[i - 1] for i, g in enumerate(gaps)) >= 1 << 63
+        assert stats._mirror_centre(q1_masks(f, m)) == centre
+        arc = [t for t in sorted({t % q1 for t in image}) if centre <= 2 * t <= centre + q1]
+        assert max(b - a for a, b in zip(arc, arc[1:])) >= stats._SMALL_GAPS
+        for chunk in (None, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                if chunk is not None:
+                    mp.setattr(composite, "_CHUNK_CANDIDATES", chunk)
+                assert table(spacing_series(f, m, cap_bits=1 << 40)) == oracle_table(image, q)
+
+
 def test_mirror_arc_matches_oracle_on_random_moduli():
     # translates f(x + a) + c of odd f, which are all c minus themselves, and
     # x^2, x^4 - 2x^2, x^5 + 5x, which are at some primes and not at others,
@@ -436,10 +463,9 @@ def test_ks_permutation_invariant():
 
 def test_ks_series_matches_value_path():
     s = spacing_series(parse_poly("x^2"), parse_modulus(1155))
-    ks = ks_exponential(s)
     direct = ks_statistic_exponential([float(v) for v in normalized(s)])
-    assert ks.statistic == pytest.approx(direct, abs=1e-12)
-    assert ks.n == s.element_count
+    assert ks_exponential(s) == pytest.approx(direct, abs=1e-12)
+    assert sum(s.gap_counts) == s.element_count
 
 
 def test_ks_series_matches_scipy():
@@ -447,7 +473,7 @@ def test_ks_series_matches_scipy():
     for primes in ([7], [3, 5, 7, 11]):
         s = spacing_series(parse_poly("x^2"), parse_modulus(primes))
         ref = sps.kstest([float(v) for v in normalized(s)], "expon")
-        assert ks_exponential(s).statistic == pytest.approx(ref.statistic, abs=1e-12)
+        assert ks_exponential(s) == pytest.approx(ref.statistic, abs=1e-12)
 
 
 def test_adjacent_correlation_small_at_moderate_q():
