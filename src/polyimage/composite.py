@@ -8,14 +8,16 @@ cap on q, by CRT windows: a window of Q_A residues (Q_A <= 2^18, the
 smallest primes) keeps the a in the image mod Q_A whose bit is set in the
 packed q/Q_A-bit image mod the rest.  That image is held in window order, so
 one 8-byte load answers 56 consecutive windows for one a; an arc reads the
-windows it meets, and the image mod the rest is built whole all the same.
+windows it meets, and the image mod the rest is built whole all the same,
+under a cap of MAX_WINDOW_TABLE_BYTES on its bytes.
 
 Factorization of user-supplied q is best effort (polyarith._factor: trial
 division to 10^4, then Brent's cycle finder, with is_probable_prime deciding
 primality).  Callers with adversarial moduli should pass the prime list
 explicitly.  composite_stats builds the image masks, one per prime, and may
 build them over a process pool; joint_count_composite and enumerate_image
-take the masks their caller built and build none.
+take the masks their caller built and build none (reading the bits of an
+a*x^m + b mask runs the walk it deferred, once).
 """
 
 from __future__ import annotations
@@ -99,6 +101,10 @@ def joint_count_composite(masks, offsets) -> int:
 _A_RESIDUES = 1 << 18
 _CHUNK_CANDIDATES = 1 << 17
 _SCALE_BLOCK = 1 << 12
+# Largest window table enumeration builds: the image mod Q_B in Q_B/8 bytes,
+# of which a few Q_B-bit ints are alive while it is built.  2^28 bytes holds
+# Q_B <= 2^31, every Q_B the default cap on q admits.
+MAX_WINDOW_TABLE_BYTES = 1 << 28
 
 
 def _scaled_bits(mask: ImageMask, c: int) -> int:
@@ -133,22 +139,29 @@ def _packed_image(masks: list[ImageMask], scale: int, length: int) -> bytes:
     return acc.to_bytes((length + 7) // 8 + 8, "little")
 
 
-def _crt_windows(masks: list[ImageMask], q: int, lo: int, hi: int):
-    """The image in [lo, hi], read in windows [k*Q_A, (k+1)*Q_A) from
-    k = lo // Q_A to hi // Q_A, the first and last chunk trimmed to the range;
-    A is the longest prefix of the ascending primes with Q_A <= _A_RESIDUES
-    and B the rest.  The image mod Q_B is held in window order T (bit k set
-    iff Q_A*k mod Q_B is in it), so k*Q_A + a, a in the image mod Q_A, is in
-    the image iff bit (k + a*u) mod Q_B of T is set, u = Q_A^-1 mod Q_B: one
-    unaligned 8-byte load gives a's bits for 56 consecutive windows; T runs
-    on cyclically 64 bits past Q_B, so no load wraps (for Q_A = 1 none needs
-    to, and T stops at Q_B).  A load covers 56*blocks windows, a chunk
-    8*rows windows and under 2^31 residues.  An empty mask in A yields
-    nothing; one in B yields no chunk, as T is all zero."""
+def _window_split(masks: list[ImageMask]) -> tuple[int, int]:
+    """(len(A), Q_A): A is the longest prefix of the masks' ascending primes
+    with Q_A <= _A_RESIDUES."""
     split, qa = 0, 1
     while split < len(masks) and qa * masks[split].p <= _A_RESIDUES:
         qa *= masks[split].p
         split += 1
+    return split, qa
+
+
+def _crt_windows(masks: list[ImageMask], q: int, lo: int, hi: int):
+    """The image in [lo, hi], read in windows [k*Q_A, (k+1)*Q_A) from
+    k = lo // Q_A to hi // Q_A, the first and last chunk trimmed to the range;
+    A and Q_A are _window_split's and B is the rest of the primes.  The
+    image mod Q_B is held in window order T (bit k set iff Q_A*k mod Q_B is
+    in it), so k*Q_A + a, a in the image mod Q_A, is in the image iff bit
+    (k + a*u) mod Q_B of T is set, u = Q_A^-1 mod Q_B: one unaligned 8-byte
+    load gives a's bits for 56 consecutive windows; T runs
+    on cyclically 64 bits past Q_B, so no load wraps (for Q_A = 1 none needs
+    to, and T stops at Q_B).  A load covers 56*blocks windows, a chunk
+    8*rows windows and under 2^31 residues.  An empty mask in A yields
+    nothing; one in B yields no chunk, as T is all zero."""
+    split, qa = _window_split(masks)
     qb, u64 = q // qa, np.uint64
     ia = np.flatnonzero(np.unpackbits(np.frombuffer(_packed_image(masks[:split], 1, qa), np.uint8),
                                       count=qa, bitorder="little"))
@@ -201,11 +214,20 @@ def enumerate_image(modulus: SquareFreeModulus, masks, cap_bits: int = DEFAULT_C
     unpacked byte each, after one 8-byte load per element of the image mod
     Q_A per 56 windows, and the one object that grows with q is the image
     mod Q_B in q/Q_A packed bits.
-    Refuses moduli beyond cap_bits or at or past 2^63 at the call;
+    Refuses moduli beyond cap_bits or at or past 2^63, and a table mod Q_B
+    past MAX_WINDOW_TABLE_BYTES, at the call, before any mask is scaled;
     correlation-style statistics stay available through the multiplicative
     path."""
     check_enumeration_cap(modulus.q, cap_bits)
-    return _crt_windows(list(masks), modulus.q, lo, modulus.q - 1 if hi is None else hi)
+    masks = list(masks)
+    qa = _window_split(masks)[1]
+    qb = modulus.q // qa
+    if (table_bytes := -(-qb // 8)) > MAX_WINDOW_TABLE_BYTES:
+        raise ResourceCapError(
+            f"q={modulus.q} enumerates windows of Q_A={qa} residues against a "
+            f"{table_bytes}-byte table of the image mod Q_B={qb}; the cap is "
+            f"{MAX_WINDOW_TABLE_BYTES} bytes")
+    return _crt_windows(masks, modulus.q, lo, modulus.q - 1 if hi is None else hi)
 
 
 def check_enumeration_cap(q: int, cap_bits: int) -> None:

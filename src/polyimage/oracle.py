@@ -19,16 +19,13 @@ from .polyarith import FpPoly, IntPoly, critical_diffs_mod, critical_value_poly,
 MAX_BRUTE_MODULUS = 10**6
 
 
-def _eval_mod(f: IntPoly, x: int, m: int) -> int:
-    # term-by-term on purpose; shares nothing with the Horner paths
-    return sum(c * pow(x, i, m) for i, c in enumerate(f.coeffs)) % m
-
-
 def brute_image(f: IntPoly, m: int) -> list[int]:
-    """Sorted image of f modulo m by evaluating every residue."""
+    """Sorted image of f modulo m by evaluating every residue, term by term on
+    purpose (it shares nothing with the Horner paths), over the nonzero terms."""
     if m > MAX_BRUTE_MODULUS:
         raise InvalidInputError(f"brute-force modulus {m} exceeds {MAX_BRUTE_MODULUS}")
-    return sorted({_eval_mod(f, x, m) for x in range(m)})
+    terms = [(i, c) for i, c in enumerate(f.coeffs) if c]
+    return sorted({sum(c * pow(x, i, m) for i, c in terms) % m for x in range(m)})
 
 
 def brute_joint_count(f: IntPoly, m: int, offsets) -> int:

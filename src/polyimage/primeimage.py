@@ -9,7 +9,10 @@ of r^d for a primitive root r, in chunks of _BLOCK = 2^14 points.
 Each step reduces by a floor division (a - (a // p) * p) rather than
 np.remainder, and Horner skips the steps that do nothing, so a monomial
 costs no Horner pass.  The values are marked in a p-byte scratch and packed
-into bits; MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.
+into bits; MAX_MASK_PRIME = 2^28 bounds that scratch at 256 MiB.  When f
+folds to a*x^m + b the image is b and the coset b + a*H, so its size is
+(p - 1)/d + 1 by algebra, and the mask defers that walk until its bits are
+read: a command that reads only image sizes (`image`) builds no bitset.
 Joint counts -- how many image elements t keep t+h_1, ..., t+h_{k-1} inside
 the image -- reduce to popcounts of ANDs of cyclic shifts of that bitset,
 which is what makes prime-by-prime scans cheap.  This module owns that
@@ -59,13 +62,36 @@ MAX_PAIR_TRANSFORM = 1 << 24
 _ROW_WORDS = 1 << 15
 
 
-@dataclass(frozen=True)
 class ImageMask:
-    """Bitset of the image of f modulo p; bit t set iff t = f(x) for some x."""
+    """Bitset of the image of f modulo p; bit t set iff t = f(x) for some x,
+    and count its popcount.  ImageMask(p, bits, count) holds its bits; the
+    record compute_image returns for a*x^m + b holds instead the walk that
+    marks them (_image_bits's arguments) and runs it the first time `bits`
+    is read, so a reader of p and count alone builds nothing.  Records
+    compare by p, bits and count, and pickle with the walk if it has not
+    run."""
 
-    p: int
-    bits: int
-    count: int
+    __slots__ = ("p", "count", "_bits", "_walk")
+
+    def __init__(self, p: int, bits: int | None, count: int, walk: tuple | None = None):
+        self.p, self.count, self._bits, self._walk = p, count, bits, walk
+
+    @property
+    def bits(self) -> int:
+        if self._bits is None:
+            self._bits, self._walk = _image_bits(*self._walk), None
+        return self._bits
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ImageMask):
+            return NotImplemented
+        return (self.p, self.bits, self.count) == (other.p, other.bits, other.count)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.count))
+
+    def __repr__(self) -> str:
+        return f"ImageMask(p={self.p}, bits={self.bits}, count={self.count})"
 
     def rotated(self, h: int) -> int:
         """Bitset of {t : t + h in image}, cyclically."""
@@ -142,17 +168,28 @@ def _mark_image(g: list[int], p: int, d: int, n: int) -> np.ndarray:
     return hit
 
 
+def _image_bits(g: list[int], p: int, d: int, n: int) -> int:
+    """The packed p-bit mask of f(0) = g[0] and g(H), H the n = (p - 1)/d
+    subgroup points."""
+    hit = _mark_image(g, p, d, n)
+    hit[g[0]] = True
+    return int.from_bytes(np.packbits(hit, bitorder="little"), "little")
+
+
 def compute_image(f: IntPoly, p: int) -> ImageMask:
     """Exact image mask of f modulo p.  On F_p, x^e = x^((e - 1) mod (p - 1) + 1)
     for e >= 1, so f is folded to degree below p first (x^p - x folds to 0).
     Then f = g(x^m), m the gcd of the exponents i >= 1 whose coefficient p
     does not divide, so the image is f(0) and g(H), H the subgroup of d-th
-    powers in F_p^x, d = gcd(m, p - 1): g is evaluated at the (p - 1)/d
+    powers in F_p^x, d = gcd(m, p - 1): g is evaluated at the n = (p - 1)/d
     points of H by vectorized Horner in chunks of _BLOCK (int64 buffers that
-    stay in L2), and the values are marked in a p-byte scratch.  Raises
-    InvalidInputError unless 2 <= p < 2^31, then ResourceCapError, before any
-    buffer is allocated, for p > MAX_MASK_PRIME or Horner work past
-    MAX_MASK_WORK, unless f is constant mod p (no scratch is needed then)."""
+    stay in L2), and the values are marked in a p-byte scratch.  When f
+    folds to a*x^m + b, g(H) = b + a*H is a coset of H in F_p^x, which
+    misses b, so the count is n + 1 by algebra, and the bits are built only
+    when the record's `bits` is first read.  Raises InvalidInputError unless
+    2 <= p < 2^31, then ResourceCapError, before any buffer is allocated,
+    for p > MAX_MASK_PRIME or Horner work past MAX_MASK_WORK, unless f is
+    constant mod p (no scratch is needed then)."""
     if not 2 <= p < MAX_PRIME:
         raise InvalidInputError(f"prime {p} outside supported range [2, 2^31)")
     cs = [(sum(f.coeffs[e::p - 1]) if e else f.coeffs[0]) % p
@@ -172,9 +209,9 @@ def compute_image(f: IntPoly, p: int) -> ImageMask:
         raise ResourceCapError(
             f"image mask at p={p} runs {len(g) - 1} Horner passes over {n} points; "
             f"the cap is {MAX_MASK_WORK} point-passes")
-    hit = _mark_image(g, p, d, n)
-    hit[cs[0]] = True
-    bits = int.from_bytes(np.packbits(hit, bitorder="little"), "little")
+    if len(exponents) == 1:
+        return ImageMask(p, None, n + 1, (g, p, d, n))
+    bits = _image_bits(g, p, d, n)
     return ImageMask(p, bits, bits.bit_count())
 
 

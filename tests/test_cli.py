@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polyimage import cli, polyarith, primeimage, verify
+from polyimage import cli, composite, polyarith, primeimage, verify
 from polyimage.cli import main
 from polyimage.verify import ANOMALY_THRESHOLD
 
@@ -335,24 +335,36 @@ def _patch_compute_image(monkeypatch, build):
 
 def test_no_command_fetches_a_mask_twice(capsys, monkeypatch):
     # a command builds each (f, p) once and passes the mask on: no second
-    # build and no image_mask cache hit, for every benchmark command line
+    # build and no image_mask cache hit, for every benchmark command line.
+    # The bitset walk runs at most once per mask, and never for `image`,
+    # which reads only the sizes, a*x^m + b's by algebra.
     ops = _bench_ops()
-    built = []
-    compute_image = primeimage.compute_image
+    built, walked = [], []
+    compute_image, mark_image = primeimage.compute_image, primeimage._mark_image
 
     def spy(f, p):
         built.append((f, p))
         return compute_image(f, p)
 
+    def mark_spy(g, p, d, n):
+        walked.append((tuple(g), p, d))
+        return mark_image(g, p, d, n)
+
     _patch_compute_image(monkeypatch, spy)
+    monkeypatch.setattr(primeimage, "_mark_image", mark_spy)
     lines = [op["argv"] for w in ops.WORKLOADS for op in ops.build(w, 1601)]
+    assert any(argv[0] == "image" for argv in lines)
     for argv in lines + [["verify", "anomaly"], ["verify", "multiplicativity"]]:
         built.clear()
+        walked.clear()
         primeimage.image_mask.cache_clear()
         code, _, _ = run(capsys, *argv)
         assert code == 0, argv
         assert primeimage.image_mask.cache_info().hits == 0, argv
         assert len(built) == len(set(built)), argv
+        assert len(walked) == len(set(walked)) <= len(built), argv
+        if argv[0] == "image":
+            assert not walked, argv
 
 
 def test_critical_command(capsys):
@@ -494,6 +506,17 @@ def test_image_mask_cap_exit(capsys, monkeypatch):
     # a prime past 2^31 stays invalid input
     code, out, err = run(capsys, "image", "--poly", "x^2", "--primes", "2147483659", "--workers", "1")
     assert code == 2 and not out and "outside supported range" in err
+
+
+def test_window_table_cap_exit(capsys, monkeypatch):
+    # the byte cap on the table of the image mod Q_B exits 3 before the image
+    # is enumerated
+    monkeypatch.setattr(composite, "MAX_WINDOW_TABLE_BYTES", 126)
+    code, out, err = run(capsys, "spacings", "--poly", "x^2", "--primes", "1009,1013")
+    assert code == 3 and not out
+    assert err.strip() == ("resource cap: q=1022117 enumerates windows of Q_A=1009 residues "
+                           "against a 127-byte table of the image mod Q_B=1013; "
+                           "the cap is 126 bytes")
 
 
 def test_internal_error_exit(capsys, monkeypatch):

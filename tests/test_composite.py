@@ -244,6 +244,7 @@ def test_enumerate_prime_holds_its_image_packed():
     f = parse_poly("x^2")
     m = parse_modulus(1000003)
     masks = masks_of(f, m)
+    assert all(mask.bits for mask in masks)  # built here, outside the measured region
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
         tracemalloc.start()
@@ -262,6 +263,7 @@ def test_enumerate_scaled_table_holds_it_packed():
     f = parse_poly("x^2")
     m = parse_modulus([3, 1000003])
     masks = masks_of(f, m)
+    assert all(mask.bits for mask in masks)  # built here, outside the measured region
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composite, "_CHUNK_CANDIDATES", 1024)
         tracemalloc.start()
@@ -278,6 +280,26 @@ def test_enumerate_scaled_table_matches_oracle():
     f = parse_poly("x^3+x+1")
     m = parse_modulus([3, 100003])
     assert elements(image(f, m)) == brute_image(f, m.q)
+
+
+def test_window_table_byte_cap(monkeypatch):
+    # 1009 * 1013 > _A_RESIDUES, so Q_A = 1009 and the table of the image mod
+    # Q_B = 1013 takes 127 bytes: past the cap it is refused at the call,
+    # before any mask is scaled, and at the cap the image is enumerated
+    f, m = parse_poly("x^2"), parse_modulus([1009, 1013])
+    masks = masks_of(f, m)
+    scaled = []
+    scaled_bits = composite._scaled_bits
+    monkeypatch.setattr(composite, "_scaled_bits", lambda *a: scaled.append(a) or scaled_bits(*a))
+    monkeypatch.setattr(composite, "MAX_WINDOW_TABLE_BYTES", 126)
+    with pytest.raises(ResourceCapError, match=r"^q=1022117 enumerates windows of Q_A=1009 "
+                       r"residues against a 127-byte table of the image mod Q_B=1013; "
+                       r"the cap is 126 bytes$"):
+        enumerate_image(m, masks)
+    assert not scaled
+    monkeypatch.setattr(composite, "MAX_WINDOW_TABLE_BYTES", 127)
+    assert len(elements(enumerate_image(m, masks))) == 505 * 507
+    assert scaled
 
 
 def test_packed_image_of_no_primes_is_residue_zero():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -139,8 +140,41 @@ def test_monomial_image_size_closed_form():
     # |image of x^m| = 1 + (p - 1)/gcd(m, p - 1); p = 5 mod 12 gives gcds 2, 1, 4, 2
     p = 10000121
     for m in (2, 3, 4, 6):
-        assert compute_image(IntPoly(tuple([0] * m + [1])), p).count == \
+        assert compute_image(IntPoly(tuple([0] * m + [1])), p).bits.bit_count() == \
             1 + (p - 1) // math.gcd(m, p - 1), m
+
+
+def test_binomial_count_by_algebra_matches_its_bits():
+    # a*x^e + b mod p: the count read off algebra, 1 + (p - 1)/gcd(e, p - 1),
+    # or 1 when p | a, equals the popcount of the bits the walk builds and the
+    # brute-force image, for every prime below 200 and every e up to 3p; b is
+    # 0 or not in turn, and both at the multiples of p - 1
+    rng = random.Random(29)
+    for p in primes_upto(200):
+        cases = [(e, rng.choice((-1, 1)) * (rng.randrange(1, p) + p * rng.randrange(3)), b)
+                 for e in range(1, 3 * p + 1)
+                 for b in ((0, rng.randrange(1, p)) if e % (p - 1) == 0
+                           else (0,) if e % 4 < 2 else (rng.randrange(1, p) - p,))]
+        cases += [(e, a, b) for e in (1, p - 1, 3 * p) for a in (p, -2 * p) for b in (0, p + 1)]
+        for e, a, b in cases:
+            f = IntPoly(tuple([b] + [0] * (e - 1) + [a]))
+            mask = compute_image(f, p)
+            want = 1 if a % p == 0 else 1 + (p - 1) // math.gcd(e, p - 1)
+            assert mask.count == mask.bits.bit_count() == len(brute_image(f, p)) == want, \
+                (p, e, a, b)
+
+
+def test_deferred_mask_compares_and_pickles_by_its_bits():
+    # 3x^4 + 2 mod 13 defers its walk: a pickled copy made before the bits
+    # are read builds the same bits, the record equals the eager record of
+    # the brute-force image, and a rotation of it, of the same size, differs
+    f, p = parse_poly("3x^4+2"), 13
+    mask = compute_image(f, p)
+    copy = pickle.loads(pickle.dumps(mask))
+    image = brute_image(f, p)
+    eager = ImageMask(p, image_bits(image), len(image))
+    assert mask == eager == copy
+    assert mask != ImageMask(p, eager.rotated(1), eager.count)
 
 
 def test_primitive_root_past_trial_division(monkeypatch):
@@ -154,7 +188,7 @@ def test_primitive_root_past_trial_division(monkeypatch):
     assert all(pow(r, (p - 1) // s, p) != 1 for s in primes)
     assert all(any(pow(t, (p - 1) // s, p) == 1 for s in primes) for t in range(2, r))
     # the walk over the squares covers all (p - 1)/2 of them only for a primitive root
-    assert compute_image(parse_poly("x^2"), p).count == (p + 1) // 2
+    assert compute_image(parse_poly("x^2"), p).bits.bit_count() == (p + 1) // 2
 
 
 def test_mask_build_scratch_is_bounded():
@@ -163,11 +197,11 @@ def test_mask_build_scratch_is_bounded():
     f, p = parse_poly("x^6"), 1000003
     tracemalloc.start()
     try:
-        m = compute_image(f, p)
+        bits = compute_image(f, p).bits  # a monomial's mask is built when read
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.count == 1 + (p - 1) // 6
+    assert bits.bit_count() == 1 + (p - 1) // 6
     assert peak < 1.5 * p, peak
 
 

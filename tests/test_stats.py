@@ -211,6 +211,7 @@ def test_gap_table_memory_is_bounded_across_chunks():
     for p, read in ((81019, (81019 + 1) // 2), (162017, (162017 + 3) // 4)):
         m = parse_modulus(p)
         built = composite_stats(f, m)
+        assert all(mask.bits for mask in built.masks)  # built here, outside the measured region
         chunks = []
 
         def counted(*args, **kwargs):
@@ -414,6 +415,7 @@ def test_mirror_check_holds_the_mask_packed():
     # int64 per residue would be 8p bytes
     p = 1000033
     masks = [image_mask(parse_poly(poly), p) for poly in ("x^2", "x^4-2x^2")]
+    assert all(mask.bits for mask in masks)  # built here, outside the measured region
     centres = []
     for mask in masks:
         tracemalloc.start()
@@ -629,7 +631,7 @@ def test_correlation_memory_follows_the_box_not_the_prime():
     # rows of p bits (1.4 MB at the 4 x 4 box, below 16 such rows); an index
     # array of p int64 entries per axis would add 8 MB
     f, m = parse_poly("x^2"), parse_modulus(1000003)
-    image_mask(f, m.q)
+    assert image_mask(f, m.q).bits  # the cached mask's bits, built outside the region
     for window, points in ((CorrelationWindow.box((0, 2)), 3),
                            (CorrelationWindow.box((0, 2), (0, 2)), 6)):
         tracemalloc.start()
